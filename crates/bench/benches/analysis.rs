@@ -1,11 +1,14 @@
 //! Run-time benchmarks of the analysis kernels: the `MultiClusterScheduling`
 //! fixed point at the paper's application sizes, fresh-per-call vs
-//! context-reuse evaluation, the CAN queuing analysis, the FIFO-bound
-//! ablation, and the discrete-event simulator.
+//! context-reuse evaluation, full vs delta evaluation over an SA move trace,
+//! the CAN queuing analysis, the FIFO-bound ablation, and the discrete-event
+//! simulator.
 //!
-//! The `evaluator_reuse` group additionally writes `BENCH_core.json` (repo
-//! root, or `BENCH_CORE_JSON` if set) with evaluations/second for both
-//! paths, so the core perf trajectory is tracked from PR 1 onward.
+//! The `evaluator_reuse`, `delta_rta` and `delta_rta_multiperiod` groups
+//! additionally write `BENCH_core.json` (repo root, or `BENCH_CORE_JSON` if
+//! set) with evaluations/second for each path and the ratio against the
+//! in-run baseline (the frozen seed oracle for `evaluator_reuse`, the full
+//! path for the delta-RTA sections).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -87,15 +90,15 @@ fn bench_evaluator_reuse(c: &mut Criterion) {
     mcs_bench::record_bench_section("evaluator_reuse", &body);
 }
 
-/// The delta-RTA bench: the frozen PR 1 evaluator vs the full and the delta
-/// seedings of the worklist engine, replaying one SA move trace (sampled
-/// moves with recorded accept/reject decisions) on a 160-process instance.
-/// All replays visit identical configurations and — by the delta contract —
+/// The delta-RTA bench: the full and the delta seedings of the worklist
+/// engine, replaying one SA move trace (sampled moves with recorded
+/// accept/reject decisions) on a 160-process instance.
+/// Both replays visit identical configurations and — by the delta contract —
 /// produce bit-identical results; only the kernel work differs. One bench
 /// group and one `BENCH_core.json` section per instance:
 ///
 /// * `delta_rta` — the Fig-9c single-period instance (10 inter-cluster
-///   messages), the PR 2 baseline workload;
+///   messages), the single-period baseline workload;
 /// * `delta_rta_multiperiod` — the same instance generated with the
 ///   `{1, 2, 4}` period-multiplier set, where distinct phase groups give
 ///   the value gating real structure to prune inside priority bands.
@@ -122,8 +125,9 @@ fn bench_delta_rta_multiperiod(c: &mut Criterion) {
 }
 
 /// One delta-RTA trace-replay group: records the trace with a scout
-/// evaluator, times the three replays, spot-checks their bit-identity and
-/// emits the named section of `BENCH_core.json`.
+/// evaluator, times the full and delta replays, spot-checks their
+/// bit-identity against each other and the seed oracle, and emits the named
+/// section of `BENCH_core.json`.
 fn bench_delta_rta_on(
     c: &mut Criterion,
     section: &str,
@@ -142,9 +146,6 @@ fn bench_delta_rta_on(
 
     let mut group = c.benchmark_group(section);
     group.sample_size(10);
-    group.bench_function("pr1_reused_path", |b| {
-        b.iter(|| replay_pr1(&system, &start, &analysis, &trace))
-    });
     group.bench_function("full_path", |b| {
         b.iter(|| replay_full(&system, &start, &analysis, &trace))
     });
@@ -153,16 +154,20 @@ fn bench_delta_rta_on(
     });
     group.finish();
 
-    // All replays must land on the same final result (bit-identity spot
-    // check outside the timed loops; the property tests do the real work).
-    let pr1_final = replay_pr1(&system, &start, &analysis, &trace);
-    let full_final = replay_full(&system, &start, &analysis, &trace);
-    let delta_final = replay_delta(&system, &start, &analysis, &trace);
+    // Both replays must land on the same final result, and that result must
+    // match the frozen seed oracle (bit-identity spot check outside the
+    // timed loops; the property tests do the real work).
+    let (final_config, full_final) = replay_full(&system, &start, &analysis, &trace);
+    let (delta_final, (delta_passes, full_passes)) =
+        replay_delta(&system, &start, &analysis, &trace);
     assert_eq!(full_final, delta_final, "delta replay drifted from full");
+    let (degree, buffers, _) =
+        mcs_bench::seed_baseline::seed_evaluate(&system, final_config, &analysis)
+            .expect("the seed oracle analyzes the final configuration");
     assert_eq!(
-        (full_final.schedule_cost(), full_final.total_buffers),
-        pr1_final,
-        "current evaluator drifted from the PR 1 baseline"
+        (full_final.degree, full_final.total_buffers),
+        (degree, buffers),
+        "current evaluator drifted from the seed oracle"
     );
 
     let result_of = |criterion: &Criterion, suffix: &str| {
@@ -174,44 +179,17 @@ fn bench_delta_rta_on(
             .map(|r| trace.len() as f64 * 1e9 / r.mean_ns)
             .unwrap_or(0.0)
     };
-    let pr1_reused = result_of(c, "pr1_reused_path");
     let full = result_of(c, "full_path");
     let delta = result_of(c, "delta_path");
-    let (delta_passes, full_passes) = {
-        let mut evaluator = Evaluator::new(&system, analysis);
-        let mut config = start.clone();
-        let mut seeds = mcs_core::DeltaSeeds::new();
-        evaluator.evaluate(&config).expect("analyzable");
-        for &(mv, accepted) in &trace {
-            let undo = mv.apply_undoable_seeded(&mut config, &mut seeds);
-            match evaluator.evaluate_delta(&config, &seeds) {
-                Ok(_) => {
-                    seeds.clear();
-                    if !accepted {
-                        undo.record_seeds(&mut seeds);
-                        undo.revert(&mut config);
-                    }
-                }
-                Err(_) => {
-                    undo.record_seeds(&mut seeds);
-                    undo.revert(&mut config);
-                }
-            }
-        }
-        evaluator.delta_stats()
-    };
     let body = format!(
         "{{\"instance\": \"{instance_label}\", \
          \"trace_moves\": {}, \
-         \"pr1_reused_evaluations_per_sec\": {pr1_reused:.2}, \
          \"full_evaluations_per_sec\": {full:.2}, \
          \"delta_evaluations_per_sec\": {delta:.2}, \
-         \"speedup_vs_pr1_reused\": {:.2}, \
          \"speedup_vs_full_path\": {:.2}, \
          \"delta_holistic_passes\": {delta_passes}, \
          \"full_holistic_passes\": {full_passes}}}",
         trace.len(),
-        delta / pr1_reused.max(f64::MIN_POSITIVE),
         delta / full.max(f64::MIN_POSITIVE),
     );
     mcs_bench::record_bench_section(section, &body);
@@ -268,38 +246,15 @@ fn record_sa_trace(
     trace
 }
 
-/// Replays the trace through the frozen PR 1 evaluator — the criterion's
-/// baseline: "the PR 1 reused path" on the very same workload.
-fn replay_pr1(
-    system: &mcs_model::System,
-    start: &mcs_model::SystemConfig,
-    analysis: &AnalysisParams,
-    trace: &SaTrace,
-) -> (i128, u64) {
-    let mut evaluator = mcs_bench::pr1_baseline::Pr1Evaluator::new(system, *analysis);
-    let mut config = start.clone();
-    let mut last = evaluator.evaluate(&config).expect("analyzable");
-    for &(mv, accepted) in trace {
-        let undo = mv.apply_undoable(&mut config);
-        match evaluator.evaluate(&config) {
-            Ok(summary) => {
-                last = summary;
-                if !accepted {
-                    undo.revert(&mut config);
-                }
-            }
-            Err(_) => undo.revert(&mut config),
-        }
-    }
-    (last.schedule_cost(), last.total_buffers)
-}
-
+/// Replays the trace through the full path — the in-run baseline the delta
+/// path is measured against. Returns the final configuration with its
+/// summary, so the result can be checked against the seed oracle.
 fn replay_full(
     system: &mcs_model::System,
     start: &mcs_model::SystemConfig,
     analysis: &AnalysisParams,
     trace: &SaTrace,
-) -> mcs_core::EvalSummary {
+) -> (mcs_model::SystemConfig, mcs_core::EvalSummary) {
     let mut evaluator = Evaluator::new(system, *analysis);
     let mut config = start.clone();
     let mut last = evaluator.evaluate(&config).expect("analyzable");
@@ -315,7 +270,7 @@ fn replay_full(
             Err(_) => undo.revert(&mut config),
         }
     }
-    last
+    (config, last)
 }
 
 fn replay_delta(
@@ -323,7 +278,7 @@ fn replay_delta(
     start: &mcs_model::SystemConfig,
     analysis: &AnalysisParams,
     trace: &SaTrace,
-) -> mcs_core::EvalSummary {
+) -> (mcs_core::EvalSummary, (u64, u64)) {
     let mut evaluator = Evaluator::new(system, *analysis);
     let mut config = start.clone();
     let mut seeds = mcs_core::DeltaSeeds::new();
@@ -345,7 +300,7 @@ fn replay_delta(
             }
         }
     }
-    last
+    (last, evaluator.delta_stats())
 }
 
 fn bench_fifo_bound_variants(c: &mut Criterion) {

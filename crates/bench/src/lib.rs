@@ -15,9 +15,10 @@
 //! Criterion benches (`cargo bench -p mcs-bench`) measure the §6 run-time
 //! claims (heuristics vs simulated annealing), fresh-per-call vs
 //! context-reuse evaluation (`evaluator_reuse`), and full vs delta
-//! evaluation over an SA move trace against both the current full path and
-//! the frozen [`pr1_baseline`] evaluator — on the single-period Fig-9c
-//! instance (`delta_rta`) and on its multi-period `{1, 2, 4}` counterpart
+//! evaluation over an SA move trace, with the full path as the in-run
+//! baseline and the final result checked against the frozen
+//! [`seed_baseline`] oracle — on the single-period Fig-9c instance
+//! (`delta_rta`) and on its multi-period `{1, 2, 4}` counterpart
 //! (`delta_rta_multiperiod`); each emits its evaluations/second into
 //! `BENCH_core.json` via [`record_bench_section`]. The ablations called
 //! out in DESIGN.md live in the `optimization` bench.
@@ -40,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod pr1_baseline;
 pub mod seed_baseline;
 
 /// Command-line options shared by the experiment binaries.

@@ -166,68 +166,23 @@ fn gap_complement(gap: Time, period: Time) -> Time {
 /// Returns `None` for a flow whose fixed point exceeds `horizon` (the
 /// utilization is too high for the window to close — the system is
 /// unschedulable and the caller should treat the delay as unbounded).
+///
+/// # Panics
+///
+/// Panics if a flow has a zero period.
 pub fn queuing_delays(flows: &[CanFlow], horizon: Time) -> Vec<Option<Time>> {
-    let mut delays = Vec::new();
-    queuing_delays_into(flows, horizon, &mut delays);
-    delays
+    (0..flows.len())
+        .map(|m| queuing_delay(flows, m, horizon))
+        .collect()
 }
 
-/// Allocation-free form of [`queuing_delays`]: clears and refills `delays`
-/// in flow order, reusing its capacity.
-pub fn queuing_delays_into(flows: &[CanFlow], horizon: Time, delays: &mut Vec<Option<Time>>) {
-    delays.clear();
-    queuing_delays_filtered(flows, horizon, |_| true, delays);
-}
-
-/// The one batch implementation behind every multi-flow entry point,
-/// parameterized by an entity filter: `delays` is resized to `flows.len()`
-/// (extending with `None`, truncating any stale tail), then the queuing
-/// delay of each flow `m` with `recompute(m)` is recomputed while the
-/// remaining in-range entries keep their previous values. Callers
-/// restricting the filter guarantee — e.g. via a dependency closure — that
-/// no input of a skipped flow changed, so its previous delay is still the
-/// least fixed point.
-pub fn queuing_delays_filtered(
-    flows: &[CanFlow],
-    horizon: Time,
-    mut recompute: impl FnMut(usize) -> bool,
-    delays: &mut Vec<Option<Time>>,
-) {
-    delays.resize(flows.len(), None);
-    for (m, delay) in delays.iter_mut().enumerate() {
-        if recompute(m) {
-            *delay = queuing_delay(flows, m, horizon);
-        }
-    }
-}
-
-/// Computes the worst-case queuing delay of `flows[m]`.
-///
-/// # Panics
-///
-/// Panics if `m` is out of range or a flow has a zero period.
-pub fn queuing_delay(flows: &[CanFlow], m: usize, horizon: Time) -> Option<Time> {
-    queuing_delay_from(flows, m, horizon, Time::ZERO)
-}
-
-/// [`queuing_delay`] with a warm-start hint: the fixed point starts at
-/// `max(blocking, hint)` instead of the blocking bound.
-///
-/// Passing the delay converged in a previous round of an *outer* fixed
-/// point (where jitters and responses only grow and offsets are constant,
-/// so the interference operator only grows pointwise) is sound and reaches
-/// the **same** least fixed point as a cold start, skipping the re-climb.
-/// A hint above the current least fixed point would be unsound; `ZERO`
-/// reproduces the cold start exactly.
-///
-/// # Panics
-///
-/// Panics if `m` is out of range or a flow has a zero period.
-pub fn queuing_delay_from(flows: &[CanFlow], m: usize, horizon: Time, hint: Time) -> Option<Time> {
+/// The cold-start queuing-delay fixed point of `flows[m]`, with the
+/// higher-priority set filtered by priority and the blocking bound scanned.
+fn queuing_delay(flows: &[CanFlow], m: usize, horizon: Time) -> Option<Time> {
     let me = &flows[m];
     let hp = |f: &(usize, &CanFlow)| f.0 != m && f.1.priority.is_higher_than(me.priority);
     let blocking = blocking_bound(flows, m);
-    let mut w = blocking.max(hint);
+    let mut w = blocking;
     loop {
         let interference: Time = flows
             .iter()
@@ -246,12 +201,21 @@ pub fn queuing_delay_from(flows: &[CanFlow], m: usize, horizon: Time, hint: Time
     }
 }
 
-/// [`queuing_delay_from`] over flows **pre-sorted by descending urgency**
-/// (ascending priority level, unique priorities): `flows[..m]` is exactly
-/// the higher-priority set, and `blocking` is the caller-precomputed
-/// [`blocking_bound`] (a suffix maximum when sorted). Produces bit-identical
-/// results to the generic form, skipping the per-call priority filtering
-/// and blocking scans — the shape the reusable analysis context calls with.
+/// The worst-case queuing delay of `flows[m]` over flows **pre-sorted by
+/// descending urgency** (ascending priority level, unique priorities):
+/// `flows[..m]` is exactly the higher-priority set, and `blocking` is the
+/// caller-precomputed [`blocking_bound`] (a suffix maximum when sorted).
+/// Produces bit-identical results to the [`queuing_delays`] entry for the
+/// same flow, skipping the per-call priority filtering and blocking scans —
+/// the shape the reusable analysis context calls with.
+///
+/// `hint` warm-starts the fixed point at `max(blocking, hint)`. Passing the
+/// delay converged in a previous round of an *outer* fixed point (where
+/// jitters and responses only grow and offsets are constant, so the
+/// interference operator only grows pointwise) is sound and reaches the
+/// **same** least fixed point as a cold start, skipping the re-climb. A
+/// hint above the current least fixed point would be unsound; `ZERO`
+/// reproduces the cold start exactly.
 ///
 /// # Panics
 ///
@@ -440,23 +404,5 @@ mod tests {
     #[test]
     fn queue_size_bound_empty_is_zero() {
         assert_eq!(queue_size_bound(&[], &[], Time::from_millis(1)), 0);
-    }
-
-    #[test]
-    fn filtered_delays_recompute_only_the_selected_flows() {
-        let flows = vec![flow(0, 100, 1), flow(1, 100, 2), flow(2, 100, 3)];
-        let horizon = Time::from_millis(1000);
-        let full = queuing_delays(&flows, horizon);
-        // A poisoned buffer: the filter must leave unselected entries
-        // untouched and resize missing ones with `None`.
-        let poison = Some(Time::from_millis(999));
-        let mut delays = vec![poison];
-        queuing_delays_filtered(&flows, horizon, |m| m != 0, &mut delays);
-        assert_eq!(delays[0], poison);
-        assert_eq!(delays[1], full[1]);
-        assert_eq!(delays[2], full[2]);
-        // Selecting everything reproduces the batch form.
-        queuing_delays_filtered(&flows, horizon, |_| true, &mut delays);
-        assert_eq!(delays, full);
     }
 }

@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 
 use mcs_can::{
-    blocking_bound, frame_time, frames_needed, message_time, queuing_delays, sound_phase, CanFlow,
+    blocking_bound, frame_time, frames_needed, message_time, queuing_delay_sorted, queuing_delays,
+    sound_phase, CanFlow,
 };
 use mcs_model::{CanBusParams, Priority, Time};
 
@@ -76,6 +77,51 @@ proptest! {
                 .map(|f| f.transmission)
                 .fold(Time::ZERO, Time::max);
             prop_assert_eq!(blocking_bound(&flows, m), expected);
+        }
+    }
+
+    /// The priority-sorted kernel the analysis context calls agrees with
+    /// the generic form on every flow: cold (`ZERO` hint) and warm-started
+    /// from its own converged delay, with blocking precomputed as the
+    /// suffix maximum of [`blocking_bound`] exactly as the context does.
+    /// Priorities are unique but drawn in arbitrary order; offsets,
+    /// transactions and responses are arbitrary; small horizons make some
+    /// fixed points diverge.
+    #[test]
+    fn sorted_queuing_matches_the_generic_form(
+        drawn in proptest::collection::vec(
+            (arb_flow(1_000), 0u32..4, 0u64..20_000),
+            1..8,
+        ),
+        horizon in 1u64..2_000,
+    ) {
+        let mut flows: Vec<CanFlow> = drawn
+            .into_iter()
+            .enumerate()
+            .map(|(i, (mut f, transaction, response))| {
+                f.priority = Priority::new(f.priority.level() * 8 + i as u32);
+                f.transaction = (transaction < 3).then_some(transaction);
+                f.response = Time::from_ticks(response);
+                f
+            })
+            .collect();
+        flows.sort_by_key(|f| f.priority.level());
+        let mut blocking = vec![Time::ZERO; flows.len()];
+        let mut suffix = Time::ZERO;
+        for m in (0..flows.len()).rev() {
+            blocking[m] = suffix;
+            suffix = suffix.max(flows[m].transmission);
+        }
+        let horizon = Time::from_ticks(horizon);
+        let generic = queuing_delays(&flows, horizon);
+        for (m, &expected) in generic.iter().enumerate() {
+            prop_assert_eq!(blocking[m], blocking_bound(&flows, m));
+            let cold = queuing_delay_sorted(&flows, m, blocking[m], horizon, Time::ZERO);
+            prop_assert_eq!(cold, expected, "flow {} cold start", m);
+            if let Some(w) = cold {
+                let warm = queuing_delay_sorted(&flows, m, blocking[m], horizon, w);
+                prop_assert_eq!(warm, cold, "flow {} warm start", m);
+            }
         }
     }
 

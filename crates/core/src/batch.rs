@@ -32,13 +32,12 @@
 //! The contract — CI-enforced by the `batch_equivalence` suite like every
 //! prior layer — is that `evaluate_batch` returns **bit-identical** results
 //! to N sequential [`Evaluator::evaluate_delta`] calls made from the same
-//! base state: same summaries (δΓ, `s_total`, convergence metadata), same
-//! infeasibility verdicts, and — after [`Evaluator::adopt_lane`] — the same
-//! outcome maps. This holds because each lane evaluates its candidate
-//! against the same base fixed point a sequential call would extend, and
-//! the delta path itself is bit-identical to the full fixed point by the
-//! PR 2 contract. Results are returned in request order, independent of
-//! worker scheduling.
+//! base state: same summaries (δΓ, `s_total`, convergence metadata) and
+//! same infeasibility verdicts. This holds because each lane evaluates its
+//! candidate against the same base fixed point a sequential call would
+//! extend, and the delta path itself is bit-identical to the full fixed
+//! point by the delta contract. Results are returned in request order,
+//! independent of worker scheduling.
 //!
 //! # When batching degrades to sequential work
 //!
@@ -82,9 +81,6 @@ pub struct BatchRequest {
 #[derive(Default)]
 pub struct BatchScratch<'s> {
     pub(crate) lanes: Vec<Lane<'s>>,
-    /// Lanes holding results of the most recent batch (a prefix of
-    /// `lanes`); only these may be adopted.
-    pub(crate) live: usize,
 }
 
 impl<'s> std::fmt::Debug for BatchScratch<'s> {
@@ -106,23 +102,11 @@ pub(crate) struct Lane<'s> {
 impl<'s> BatchScratch<'s> {
     /// Creates an empty scratch; lanes are built lazily on first use.
     pub fn new() -> Self {
-        BatchScratch {
-            lanes: Vec::new(),
-            live: 0,
-        }
+        BatchScratch { lanes: Vec::new() }
     }
 
     /// Number of lanes currently allocated (the high-water batch width).
     pub fn lanes(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// Result of candidate `index` from the most recent batch, if any.
-    pub fn result(&self, index: usize) -> Option<&Result<EvalSummary, AnalysisError>> {
-        if index < self.live {
-            self.lanes[index].result.as_ref()
-        } else {
-            None
-        }
     }
 }

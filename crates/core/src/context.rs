@@ -1294,8 +1294,6 @@ impl<'s> Evaluator<'s> {
     /// [`delta_stats`](Self::delta_stats) absorb the lanes' holistic-pass
     /// counts), so the accumulated-seed discipline of a search loop carries
     /// over unchanged: every request's seeds are relative to the same base.
-    /// Use [`adopt_lane`](Self::adopt_lane) to step onto an accepted
-    /// candidate.
     ///
     /// Infeasible candidates are not an error of the batch: their lane
     /// reports its [`AnalysisError`] in the returned vector, exactly as the
@@ -1305,7 +1303,6 @@ impl<'s> Evaluator<'s> {
         scratch: &mut BatchScratch<'s>,
         requests: &[BatchRequest],
     ) -> Vec<Result<EvalSummary, AnalysisError>> {
-        scratch.live = 0;
         if requests.is_empty() {
             return Vec::new();
         }
@@ -1361,7 +1358,6 @@ impl<'s> Evaluator<'s> {
                 lane.stats_gain = (d1 - d0, f1 - f0);
                 lane.result = Some(result);
             });
-        scratch.live = requests.len();
         let mut results = Vec::with_capacity(requests.len());
         for lane in &scratch.lanes[..requests.len()] {
             self.delta_evals += lane.stats_gain.0;
@@ -1370,37 +1366,6 @@ impl<'s> Evaluator<'s> {
             results.push(lane.result.clone().expect("every live lane evaluated"));
         }
         results
-    }
-
-    /// Makes lane `index` of the last [`evaluate_batch`](Self::evaluate_batch)
-    /// the primary state: after the call this evaluator holds exactly the
-    /// state a sequential [`evaluate_delta`](Self::evaluate_delta) of that
-    /// candidate would have left behind — its snapshots are the delta
-    /// baseline of the next call, its configuration is the accumulated
-    /// seeds' new base, and [`outcome`](Self::outcome) materializes the
-    /// candidate's result maps. O(1): the two states are swapped, not
-    /// copied (the lane inherits the old primary state and is re-synced by
-    /// the next batch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is outside the last batch or the lane's evaluation
-    /// failed (an invalid candidate leaves no state worth adopting).
-    pub fn adopt_lane(&mut self, scratch: &mut BatchScratch<'s>, index: usize) {
-        assert!(
-            index < scratch.live,
-            "adopt_lane: lane {index} is not part of the last batch"
-        );
-        let lane = &mut scratch.lanes[index];
-        assert!(
-            matches!(lane.result, Some(Ok(_))),
-            "adopt_lane: lane {index} holds no successful evaluation"
-        );
-        std::mem::swap(self, &mut lane.eval);
-        // The batch already folded every lane's holistic-pass gains into
-        // the primary aggregate; keep that aggregate on the primary.
-        std::mem::swap(&mut self.delta_evals, &mut lane.eval.delta_evals);
-        std::mem::swap(&mut self.full_evals, &mut lane.eval.full_evals);
     }
 
     /// Whether the delta preconditions hold for `config`: non-structural

@@ -89,45 +89,6 @@ fn activations(w: Time, i: &TaskFlow, j: &TaskFlow) -> u64 {
 
 /// Computes the interference delay `w_i` of every task on one CPU.
 ///
-/// Returns `None` for a task whose busy window exceeds `horizon` (diverged:
-/// the demand of higher-priority tasks is unsustainable).
-pub fn interference_delays(tasks: &[TaskFlow], horizon: Time) -> Vec<Option<Time>> {
-    let mut delays = Vec::new();
-    interference_delays_into(tasks, horizon, &mut delays);
-    delays
-}
-
-/// Allocation-free form of [`interference_delays`]: clears and refills
-/// `delays` in task order, reusing its capacity.
-pub fn interference_delays_into(tasks: &[TaskFlow], horizon: Time, delays: &mut Vec<Option<Time>>) {
-    delays.clear();
-    interference_delays_filtered(tasks, horizon, |_| true, delays);
-}
-
-/// The one batch implementation behind every multi-task entry point,
-/// parameterized by an entity filter: `delays` is resized to `tasks.len()`
-/// (extending with `None`, truncating any stale tail), then the busy
-/// window of each task `i` with `recompute(i)` is recomputed while the
-/// remaining in-range entries keep their previous values. Callers
-/// restricting the filter guarantee — e.g. via a dependency closure — that
-/// no input of a skipped task changed, so its previous delay is still the
-/// least fixed point.
-pub fn interference_delays_filtered(
-    tasks: &[TaskFlow],
-    horizon: Time,
-    mut recompute: impl FnMut(usize) -> bool,
-    delays: &mut Vec<Option<Time>>,
-) {
-    delays.resize(tasks.len(), None);
-    for (i, delay) in delays.iter_mut().enumerate() {
-        if recompute(i) {
-            *delay = interference_delay(tasks, i, horizon);
-        }
-    }
-}
-
-/// Computes the interference delay `w_i` of `tasks[i]`.
-///
 /// Because the CPU is *preemptive*, the busy window that collects
 /// higher-priority arrivals must span the task's own execution as well
 /// (`q_i = C_i + B_i + Σ …`): an interferer released while `i` is already
@@ -137,35 +98,25 @@ pub fn interference_delays_filtered(
 /// the difference.) The returned delay is `w_i = q_i − C_i`, preserving the
 /// paper's `r_i = J_i + w_i + C_i` bookkeeping.
 ///
+/// Returns `None` for a task whose busy window exceeds `horizon` (diverged:
+/// the demand of higher-priority tasks is unsustainable).
+///
 /// # Panics
 ///
-/// Panics if `i` is out of range or a task has a zero period.
-pub fn interference_delay(tasks: &[TaskFlow], i: usize, horizon: Time) -> Option<Time> {
-    interference_delay_from(tasks, i, horizon, Time::ZERO)
+/// Panics if a task has a zero period.
+pub fn interference_delays(tasks: &[TaskFlow], horizon: Time) -> Vec<Option<Time>> {
+    (0..tasks.len())
+        .map(|i| interference_delay(tasks, i, horizon))
+        .collect()
 }
 
-/// [`interference_delay`] with a warm-start hint: the busy window starts at
-/// `max(B + C, hint + C)` (i.e. the hint is a previously converged *delay*
-/// `w = q − C`).
-///
-/// Sound when the hint converged under a pointwise-smaller interference
-/// operator (jitters/responses only grow, offsets constant across the outer
-/// iteration) — the fixed point reached is identical to a cold start.
-/// `ZERO` reproduces the cold start exactly.
-///
-/// # Panics
-///
-/// Panics if `i` is out of range or a task has a zero period.
-pub fn interference_delay_from(
-    tasks: &[TaskFlow],
-    i: usize,
-    horizon: Time,
-    hint: Time,
-) -> Option<Time> {
+/// The cold-start busy-window fixed point of `tasks[i]`, with the
+/// higher-priority set filtered by rank.
+fn interference_delay(tasks: &[TaskFlow], i: usize, horizon: Time) -> Option<Time> {
     let me = &tasks[i];
     let hp = |t: &(usize, &TaskFlow)| t.0 != i && t.1.rank < me.rank;
     let base = me.blocking.saturating_add(me.wcet);
-    let mut q = base.max(hint.saturating_add(me.wcet));
+    let mut q = base;
     loop {
         let interference: Time = tasks
             .iter()
@@ -184,10 +135,18 @@ pub fn interference_delay_from(
     }
 }
 
-/// [`interference_delay_from`] over tasks **pre-sorted by ascending rank**
-/// (unique ranks): `tasks[..i]` is exactly the higher-priority set.
-/// Bit-identical to the generic form, without the per-call rank filtering —
-/// the shape the reusable analysis context calls with.
+/// The interference delay `w_i` of `tasks[i]` over tasks **pre-sorted by
+/// ascending rank** (unique ranks): `tasks[..i]` is exactly the
+/// higher-priority set. Bit-identical to the [`interference_delays`] entry
+/// for the same task, without the per-call rank filtering — the shape the
+/// reusable analysis context calls with.
+///
+/// `hint` warm-starts the busy window at `max(B + C, hint + C)` (i.e. the
+/// hint is a previously converged *delay* `w = q − C`). Sound when the hint
+/// converged under a pointwise-smaller interference operator
+/// (jitters/responses only grow, offsets constant across the outer
+/// iteration) — the fixed point reached is identical to a cold start.
+/// `ZERO` reproduces the cold start exactly.
 ///
 /// # Panics
 ///
@@ -323,23 +282,5 @@ mod tests {
         let tasks = vec![task(0, 10, 6), task(1, 10, 6), task(2, 10, 6)];
         let w = interference_delays(&tasks, Time::from_millis(1000));
         assert_eq!(w[2], None);
-    }
-
-    #[test]
-    fn filtered_delays_recompute_only_the_selected_tasks() {
-        let tasks = vec![task(0, 4, 1), task(1, 10, 2), task(2, 20, 3)];
-        let horizon = Time::from_millis(1000);
-        let full = interference_delays(&tasks, horizon);
-        // A poisoned buffer: the filter must leave unselected entries
-        // untouched and resize missing ones with `None`.
-        let poison = Some(Time::from_millis(999));
-        let mut delays = vec![poison];
-        interference_delays_filtered(&tasks, horizon, |i| i != 0, &mut delays);
-        assert_eq!(delays[0], poison);
-        assert_eq!(delays[1], full[1]);
-        assert_eq!(delays[2], full[2]);
-        // Selecting everything reproduces the batch form.
-        interference_delays_filtered(&tasks, horizon, |_| true, &mut delays);
-        assert_eq!(delays, full);
     }
 }

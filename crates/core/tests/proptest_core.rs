@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 
 use mcs_core::{
-    fifo_delay, fifo_delay_occurrence, interference_delays, FifoFlow, TaskFlow, TtpQueueParams,
+    fifo_delay, fifo_delay_occurrence, interference_delay_sorted, interference_delays, FifoFlow,
+    TaskFlow, TtpQueueParams,
 };
 use mcs_model::Time;
 
@@ -88,6 +89,43 @@ proptest! {
         for (b, a) in before.iter().zip(&after).skip(1) {
             if let (Some(b), Some(a)) = (b, a) {
                 prop_assert!(a >= b);
+            }
+        }
+    }
+
+    /// The rank-sorted kernel the analysis context calls agrees with the
+    /// generic form on every task: cold (`ZERO` hint) and warm-started from
+    /// its own converged delay. Ranks are unique but drawn in arbitrary
+    /// order; offsets, transactions, responses and blocking are arbitrary;
+    /// small horizons make some busy windows diverge.
+    #[test]
+    fn sorted_interference_matches_the_generic_form(
+        drawn in proptest::collection::vec(
+            (arb_task(0), 0u64..1_000, 0u32..4, 0u64..1_000, 0u64..20_000),
+            1..8,
+        ),
+        horizon in 100u64..20_000,
+    ) {
+        let mut tasks: Vec<TaskFlow> = drawn
+            .into_iter()
+            .enumerate()
+            .map(|(i, (mut t, rank, transaction, blocking, response))| {
+                t.rank = rank * 8 + i as u64;
+                t.transaction = (transaction < 3).then_some(transaction);
+                t.blocking = Time::from_ticks(blocking);
+                t.response = Time::from_ticks(response);
+                t
+            })
+            .collect();
+        tasks.sort_by_key(|t| t.rank);
+        let horizon = Time::from_ticks(horizon);
+        let generic = interference_delays(&tasks, horizon);
+        for (i, &expected) in generic.iter().enumerate() {
+            let cold = interference_delay_sorted(&tasks, i, horizon, Time::ZERO);
+            prop_assert_eq!(cold, expected, "task {} cold start", i);
+            if let Some(w) = cold {
+                let warm = interference_delay_sorted(&tasks, i, horizon, w);
+                prop_assert_eq!(warm, cold, "task {} warm start", i);
             }
         }
     }

@@ -15,10 +15,10 @@
 //! * [`Sf`] (SF), [`Sa::schedule`] (SAS) and [`Sa::resources`] (SAR) — the
 //!   evaluation baselines.
 //!
-//! On top of single runs, [`Portfolio`] races strategies on one instance
-//! across rayon workers and [`ExperimentRunner`] serves whole batches of
-//! (instance × strategy) jobs — the layer the paper-reproduction sweeps
-//! and any future traffic sit on.
+//! On top of single runs, [`Portfolio`] runs strategies on one instance in
+//! parallel across rayon workers and [`ExperimentRunner`] serves whole
+//! batches of (instance × strategy) jobs — the layer the paper-reproduction
+//! sweeps and any future traffic sit on.
 //!
 //! The free functions of the pre-`Synthesis` API (`optimize_schedule`,
 //! `optimize_resources`, `sa_schedule`, `sa_resources`, `anneal`) have

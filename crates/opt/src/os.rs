@@ -183,8 +183,8 @@ impl Strategy for Os {
             ctx.evaluate_candidates_queued();
 
             // Consume in scan order: results, budget accounting and the
-            // event stream are exactly the sequential loop's — speculative
-            // candidates past an exhausted budget are never consumed.
+            // event stream are exactly the sequential loop's — candidates
+            // past an exhausted budget are evaluated but never consumed.
             let mut best_here: Option<(EvalSummary, SystemConfig, usize, u32)> = None;
             let mut index = 0;
             for (group, &(j, count)) in groups.iter().enumerate() {

@@ -72,9 +72,7 @@
 //! its report, bit for bit. [`Portfolio::run`] and [`ExperimentRunner::run`]
 //! preserve that: results are collected in submission order regardless of
 //! worker interleaving, and winner selection is a deterministic function of
-//! the collected reports (ties break toward the lowest entry index). The
-//! only escape hatch is [`Portfolio::race`], which trades reproducibility
-//! of the *losing* reports for wall-clock time.
+//! the collected reports (ties break toward the lowest entry index).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -208,8 +206,8 @@ impl BudgetAxis {
 ///
 /// Cloning shares the flag; [`CancelToken::cancel`] makes every
 /// [`SearchCtx`] carrying a clone report [`exhausted`](SearchCtx::exhausted)
-/// from then on. Used by [`Portfolio::race`] to stop the losers once a
-/// winner emerges.
+/// from then on. Used by [`Synthesis::cancel`] and the service to stop
+/// runs early.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -499,13 +497,6 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
         self.evaluator
     }
 
-    /// Escape hatch: direct mutable access to the evaluator. Analyses run
-    /// through it are **not** counted against the budget; prefer
-    /// [`evaluate`](Self::evaluate) / [`evaluate_delta`](Self::evaluate_delta).
-    pub fn evaluator_mut(&mut self) -> &mut Evaluator<'s> {
-        self.evaluator
-    }
-
     /// Evaluations performed so far (full and delta alike).
     pub fn evaluations(&self) -> u64 {
         self.evaluations
@@ -573,8 +564,7 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
     // -- Candidate batches ---------------------------------------------------
     //
     // A strategy that fans out sibling candidates (OS's per-position slot
-    // scans, OR's neighborhood scan, SA's speculative proposal window)
-    // submits them all at once and then *consumes* the pre-computed results
+    // scans, OR's neighborhood scan) submits them all at once and then *consumes* the pre-computed results
     // in its original sequential order:
     //
     //   ctx.begin_candidates();
@@ -587,10 +577,10 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
     // sequential loop would have performed it. Results are bit-identical to
     // sequential `evaluate_delta` calls from the same base state
     // ([`Evaluator::evaluate_batch`]), so the strategy's decisions — and
-    // with them the whole event stream — are unchanged; speculative
-    // candidates that are never consumed (budget exhausted mid-scan, an SA
-    // window broken by an accept) simply never existed as far as the budget
-    // and the observers are concerned.
+    // with them the whole event stream — are unchanged; candidates that are
+    // never consumed (budget exhausted mid-scan, a scan cut short by its
+    // stopping rule) simply never existed as far as the budget and the
+    // observers are concerned.
 
     /// Starts a fresh candidate batch, clearing any previous one (request
     /// slots and lanes keep their allocations).
@@ -685,14 +675,6 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
         );
         self.evaluations += 1;
         self.batch_results[index].clone()
-    }
-
-    /// Adopts candidate `index`'s lane as the evaluator's primary state
-    /// ([`Evaluator::adopt_lane`]): afterwards the evaluator holds exactly
-    /// what a sequential `evaluate_delta` of that candidate would have left,
-    /// so subsequent delta evaluations may seed against it.
-    pub fn adopt_candidate(&mut self, index: usize) {
-        self.evaluator.adopt_lane(&mut self.batch, index);
     }
 
     /// The current incumbent, if any was recorded yet.
@@ -1083,7 +1065,6 @@ pub struct Portfolio<'s, 'a> {
     entries: Vec<(String, Box<dyn Strategy + 'a>)>,
     budget: Budget,
     selection: Selection,
-    race: bool,
 }
 
 impl<'s, 'a> std::fmt::Debug for Portfolio<'s, 'a> {
@@ -1103,7 +1084,6 @@ impl<'s, 'a> Portfolio<'s, 'a> {
             entries: Vec::new(),
             budget: Budget::UNLIMITED,
             selection: Selection::FirstSchedulable,
-            race: false,
         }
     }
 
@@ -1131,16 +1111,6 @@ impl<'s, 'a> Portfolio<'s, 'a> {
         self
     }
 
-    /// Enables racing: as soon as any entry records a schedulable
-    /// incumbent, every other entry is cooperatively cancelled. The winner
-    /// under [`Selection::FirstSchedulable`] may then depend on worker
-    /// timing — racing trades determinism for wall-clock time; leave it off
-    /// (the default) for reproducible sweeps.
-    pub fn race(mut self, race: bool) -> Self {
-        self.race = race;
-        self
-    }
-
     /// Number of entries added so far.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -1160,42 +1130,20 @@ impl<'s, 'a> Portfolio<'s, 'a> {
             entries,
             budget,
             selection,
-            race,
         } = self;
-        let token = CancelToken::new();
         let reports: Vec<(String, Result<SynthesisReport, SynthesisError>)> = entries
             .into_par_iter()
             .map(|(label, strategy)| {
-                let mut builder = Synthesis::builder(system)
+                let report = Synthesis::builder(system)
                     .analysis(analysis)
                     .budget(budget)
-                    .cancel(token.clone());
-                if race {
-                    builder = builder.observer(CancelOnSchedulable(token.clone()));
-                }
-                let report = builder.strategy(strategy).run();
-                if race && report.as_ref().is_ok_and(|r| r.best.is_schedulable()) {
-                    token.cancel();
-                }
+                    .strategy(strategy)
+                    .run();
                 (label, report)
             })
             .collect();
         let winner = select_winner(&reports, selection);
         PortfolioReport { winner, reports }
-    }
-}
-
-/// Race observer: cancels the shared token on the first schedulable
-/// incumbent.
-struct CancelOnSchedulable(CancelToken);
-
-impl Observer for CancelOnSchedulable {
-    fn on_event(&mut self, event: &SearchEvent) {
-        if let SearchEvent::NewIncumbent { summary, .. } = event {
-            if summary.is_schedulable() {
-                self.0.cancel();
-            }
-        }
     }
 }
 

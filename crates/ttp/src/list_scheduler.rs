@@ -107,30 +107,9 @@ pub struct DenseSchedulerInput<'a> {
 /// Returns [`ScheduleError`] if the TDMA configuration cannot carry the
 /// traffic (missing slot, oversized message, empty round).
 pub fn list_schedule(input: &SchedulerInput<'_>) -> Result<TtcSchedule, ScheduleError> {
+    let app = &input.system.application;
     let mut priorities = Vec::new();
     critical_path_priorities_into(input.system, input.tdma, &mut priorities);
-    let mut schedule = TtcSchedule::new();
-    list_schedule_into(input, &priorities, &mut schedule)?;
-    Ok(schedule)
-}
-
-/// Reusable form of [`list_schedule`]: clears and refills `schedule` in
-/// place (keeping its allocations) and takes the critical-path priorities as
-/// an input so a caller iterating schedule ↔ analysis fixed points computes
-/// them once per TDMA configuration instead of once per pass.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if the TDMA configuration cannot carry the
-/// traffic (missing slot, oversized message, empty round). On error the
-/// schedule contents are unspecified (partially filled); callers must treat
-/// it as garbage until the next successful pass.
-pub fn list_schedule_into(
-    input: &SchedulerInput<'_>,
-    priorities: &[Time],
-    schedule: &mut TtcSchedule,
-) -> Result<(), ScheduleError> {
-    let app = &input.system.application;
     let mut process_releases = vec![None; app.processes().len()];
     for (&p, &t) in input.process_releases {
         process_releases[p.index()] = Some(t);
@@ -139,6 +118,7 @@ pub fn list_schedule_into(
     for (&m, &t) in input.message_releases {
         message_releases[m.index()] = Some(t);
     }
+    let mut schedule = TtcSchedule::new();
     list_schedule_dense_into(
         &DenseSchedulerInput {
             system: input.system,
@@ -146,14 +126,19 @@ pub fn list_schedule_into(
             process_releases: &process_releases,
             message_releases: &message_releases,
         },
-        priorities,
-        schedule,
-    )
+        &priorities,
+        &mut schedule,
+    )?;
+    Ok(schedule)
 }
 
-/// [`list_schedule_into`] over a [`DenseSchedulerInput`]: the allocation-free
-/// scheduling entry point of the reusable analysis context (release bounds
-/// are read by index, no hash map is flattened per pass).
+/// [`list_schedule`] over a [`DenseSchedulerInput`]: the allocation-free
+/// scheduling entry point of the reusable analysis context. It clears and
+/// refills `schedule` in place (keeping its allocations), reads release
+/// bounds by index (no hash map is flattened per pass) and takes the
+/// critical-path priorities as an input, so a caller iterating schedule ↔
+/// analysis fixed points computes them once per TDMA configuration instead
+/// of once per pass.
 ///
 /// # Errors
 ///
@@ -172,18 +157,8 @@ pub fn list_schedule_dense_into(
 
 /// Critical-path list priorities: the longest downstream path of each
 /// process, where processes weigh their WCET and cross-node arcs weigh one
-/// TDMA round (a uniform communication estimate).
-pub fn critical_path_priorities(system: &System, tdma: &TdmaConfig) -> HashMap<ProcessId, Time> {
-    let mut prio = Vec::new();
-    critical_path_priorities_into(system, tdma, &mut prio);
-    prio.into_iter()
-        .enumerate()
-        .map(|(i, t)| (ProcessId::new(i as u32), t))
-        .collect()
-}
-
-/// Allocation-reusing form of [`critical_path_priorities`]: clears and
-/// refills `prio`, indexed densely by [`ProcessId::index`].
+/// TDMA round (a uniform communication estimate). Clears and refills
+/// `prio`, indexed densely by [`ProcessId::index`].
 pub fn critical_path_priorities_into(system: &System, tdma: &TdmaConfig, prio: &mut Vec<Time>) {
     let app = &system.application;
     let comm = tdma.round_duration(&system.architecture.ttp_params());
@@ -634,9 +609,10 @@ mod tests {
     #[test]
     fn critical_path_orders_longer_chains_first() {
         let (system, tdma) = fixture();
-        let prio = critical_path_priorities(&system, &tdma);
+        let mut prio = Vec::new();
+        critical_path_priorities_into(&system, &tdma, &mut prio);
         // P1 heads the whole chain: its CP must exceed P3's.
-        assert!(prio[&ProcessId::new(0)] > prio[&ProcessId::new(2)]);
+        assert!(prio[ProcessId::new(0).index()] > prio[ProcessId::new(2).index()]);
     }
 
     #[test]
