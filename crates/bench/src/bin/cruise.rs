@@ -6,15 +6,17 @@
 //! of buffers, OR reduced that by 24 %, landing within 6 % of SAR.
 //!
 //! The five synthesis runs (SF, OS, OR, SAS, SAR) are one
-//! [`mcs_opt::ExperimentRunner`] batch fanned out across cores; each
-//! record carries its own wall-clock time.
+//! [`SynthesisService::run_batch`] fanned out across cores; each record
+//! carries its own wall-clock time.
 
 use std::sync::Arc;
 
 use mcs_bench::ExperimentOptions;
 use mcs_core::AnalysisParams;
 use mcs_gen::cruise_controller;
-use mcs_opt::{ExperimentJob, ExperimentRunner, Or, OrParams, Os, OsParams, Sa, SaParams, Sf};
+use mcs_opt::{
+    JobRecord, JobSpec, Or, OrParams, Os, OsParams, Sa, SaParams, Sf, Strategy, SynthesisService,
+};
 
 fn main() {
     let options = ExperimentOptions::from_args();
@@ -31,43 +33,20 @@ fn main() {
         ..SaParams::default()
     };
     let system = Arc::new(cc.system);
-    let mut runner = ExperimentRunner::new();
-    runner.push(ExperimentJob::new(
-        "cruise",
-        Arc::clone(&system),
-        analysis,
-        Sf,
-    ));
-    runner.push(ExperimentJob::new(
-        "cruise",
-        Arc::clone(&system),
-        analysis,
-        Os::new(OsParams::default()),
-    ));
-    runner.push(ExperimentJob::new(
-        "cruise",
-        Arc::clone(&system),
-        analysis,
-        Or::new(OrParams::default()),
-    ));
-    runner.push(ExperimentJob::new(
-        "cruise",
-        Arc::clone(&system),
-        analysis,
-        Sa::schedule(sa),
-    ));
-    runner.push(ExperimentJob::new(
-        "cruise",
-        Arc::clone(&system),
-        analysis,
-        Sa::resources(sa),
-    ));
-    let records = runner.run();
-    let [sf, os, or, sas, sar]: &[mcs_opt::ExperimentRecord; 5] =
-        records[..].try_into().expect("five jobs");
-    let sf = &sf.expect("SF analyzable").best;
-    let os = &os.expect("OS analyzable").best;
-    let sas = &sas.expect("SAS analyzable").best;
+    let job = |strategy: Box<dyn Strategy>| {
+        JobSpec::new("cruise", Arc::clone(&system), analysis, strategy)
+    };
+    let records = SynthesisService::run_batch(vec![
+        job(Box::new(Sf)),
+        job(Box::new(Os::new(OsParams::default()))),
+        job(Box::new(Or::new(OrParams::default()))),
+        job(Box::new(Sa::schedule(sa))),
+        job(Box::new(Sa::resources(sa))),
+    ]);
+    let [sf, os, or, sas, sar]: &[JobRecord; 5] = records[..].try_into().expect("five jobs");
+    let sf = &sf.outcome.report().expect("SF analyzable").best;
+    let os = &os.outcome.report().expect("OS analyzable").best;
+    let sas = &sas.outcome.report().expect("SAS analyzable").best;
 
     let verdict = |ok: bool| if ok { "meets" } else { "MISSES" };
     println!("end-to-end worst-case response (paper: SF 320 ms, OS/SAS 185 ms):");
@@ -88,8 +67,8 @@ fn main() {
     );
     println!();
     println!("total buffer need (paper: OS 1020 B, OR -24 %, OR within 6 % of SAR):");
-    let or_best = &or.expect("OR analyzable").best;
-    let sar_best = &sar.expect("SAR analyzable").best;
+    let or_best = &or.outcome.report().expect("OR analyzable").best;
+    let sar_best = &sar.outcome.report().expect("SAR analyzable").best;
     let os_b = os.total_buffers as f64;
     let or_b = or_best.total_buffers as f64;
     let sar_b = sar_best.total_buffers as f64;

@@ -3,11 +3,11 @@
 //! inter-cluster messages. The paper's headline: OS degrades quickly as the
 //! gateway traffic intensifies, while OR stays close to SAR.
 //!
-//! Every (instance × strategy) run is one [`mcs_opt::ExperimentRunner`]
-//! job fanned out across cores (`RAYON_NUM_THREADS` caps the workers);
-//! records come back in submission order, so the output is identical to a
-//! sequential sweep. Each record is also emitted as a JSON line (see
-//! `--jsonl`).
+//! Every (instance × strategy) run is one job of a
+//! [`mcs_opt::SynthesisService::run_batch`], fanned out across cores
+//! (`RAYON_NUM_THREADS` caps the workers); records come back in
+//! submission order, so the output is identical to a sequential sweep.
+//! Each record is also emitted as a JSON line (see `--jsonl`).
 
 use mcs_bench::{run_deviation_sweep, write_jsonl, ExperimentOptions, SweepRow};
 use mcs_gen::GeneratorParams;

@@ -13,11 +13,11 @@
 //! workload of the paper's application model (§2.1) that the value-driven
 //! worklist engine exploits.
 //!
-//! Every (instance × strategy) run is one [`mcs_opt::ExperimentRunner`]
-//! job fanned out across cores (`RAYON_NUM_THREADS` caps the workers);
-//! records come back in submission order, so the output is identical to a
-//! sequential sweep. Each record is also emitted as a JSON line (see
-//! `--jsonl`).
+//! Every (instance × strategy) run is one job of a
+//! [`mcs_opt::SynthesisService::run_batch`], fanned out across cores
+//! (`RAYON_NUM_THREADS` caps the workers); records come back in
+//! submission order, so the output is identical to a sequential sweep.
+//! Each record is also emitted as a JSON line (see `--jsonl`).
 
 use mcs_bench::{run_deviation_sweep, write_jsonl, ExperimentOptions, SweepRow};
 use mcs_gen::GeneratorParams;

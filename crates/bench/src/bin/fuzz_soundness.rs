@@ -4,13 +4,13 @@
 //! moves), simulate under randomized execution times and fail loudly on any
 //! observation exceeding its analytic bound.
 //!
-//! The OS synthesis runs — the expensive part of the campaign — are served
-//! by a [`SynthesisService`]: fanned out across the worker pool, each under
-//! a per-job wall-clock deadline so one pathological instance cannot wedge
-//! the whole campaign, with panic isolation so a crashing search costs one
-//! record instead of the run. Timed-out or failed syntheses are skipped
-//! (and counted); soundness *violations* still abort loudly — they are the
-//! bug this campaign exists to catch.
+//! The OS synthesis runs — the expensive part of the campaign — are one
+//! [`SynthesisService::run_batch`]: fanned out across the worker pool,
+//! each under a per-job wall-clock deadline so one pathological instance
+//! cannot wedge the whole campaign, with panic isolation so a crashing
+//! search costs one record instead of the run. Timed-out or failed
+//! syntheses are skipped (and counted); soundness *violations* still
+//! abort loudly — they are the bug this campaign exists to catch.
 //!
 //! Usage: `cargo run --release -p mcs-bench --bin fuzz_soundness [-- --seeds N]`
 
@@ -23,7 +23,7 @@ use mcs_gen::{generate, Distribution, GeneratorParams};
 use mcs_model::{System, SystemConfig};
 use mcs_opt::{
     evaluate, hopa_priorities, neighborhood, straightforward_config, JobSpec, Os, OsParams,
-    ServiceConfig, SynthesisService,
+    SynthesisService,
 };
 use mcs_sim::{simulate, simulate_with_faults, ExecutionModel, FaultParams, FaultPlan, SimParams};
 
@@ -96,12 +96,9 @@ fn main() {
     let options = ExperimentOptions::from_args();
     let campaigns = options.seeds.max(5) * 40;
 
-    // Generate every instance and queue its OS synthesis on the service.
+    // Generate every instance and batch its OS synthesis.
     let mut instances = Vec::with_capacity(campaigns as usize);
-    let service = SynthesisService::start(ServiceConfig {
-        queue_capacity: campaigns as usize,
-        ..ServiceConfig::default()
-    });
+    let mut jobs = Vec::with_capacity(campaigns as usize);
     for seed in 0..campaigns {
         let mut params = GeneratorParams::paper_sized(2, seed);
         params.processes_per_node = 6 + (seed % 10) as usize;
@@ -120,22 +117,18 @@ fn main() {
             },
             ..AnalysisParams::default()
         };
-        service
-            .try_submit(
-                JobSpec::new(
-                    format!("os/{seed}"),
-                    Arc::clone(&system),
-                    analysis,
-                    Os::new(OsParams::default()),
-                )
-                .deadline(OS_DEADLINE),
+        jobs.push(
+            JobSpec::new(
+                format!("os/{seed}"),
+                Arc::clone(&system),
+                analysis,
+                Os::new(OsParams::default()),
             )
-            .expect("queue sized to the campaign");
+            .deadline(OS_DEADLINE),
+        );
         instances.push((seed, system, analysis));
     }
-    let mut os_records = service.shutdown();
-    os_records.sort_by_key(|record| record.id);
-    assert_eq!(os_records.len(), instances.len(), "one record per instance");
+    let os_records = SynthesisService::run_batch(jobs);
 
     let mut checked = 0u64;
     let mut skipped = 0u64;

@@ -19,12 +19,10 @@
 //! [`CellStatus::SynthesisFailed`] and skipped, never silently dropped.
 //!
 //! The expensive part — schedule-optimized (OS) synthesis for the cells
-//! that ask for it — is served by a [`SynthesisService`]: parallel workers,
-//! per-job wall-clock deadlines, panic isolation, and a [`JobSpec::tag`]
-//! carrying the cell index so records pair with their cells without name
-//! parsing.
+//! that ask for it — is one [`SynthesisService::run_batch`]: parallel
+//! workers, per-job wall-clock deadlines, panic isolation, and records in
+//! submission order, so they pair with their cells by position.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,8 +32,7 @@ use rand::{RngCore, SeedableRng};
 use mcs_core::{json_line, AnalysisParams, FifoBound, JsonField};
 use mcs_gen::{generate, GeneratorParams};
 use mcs_opt::{
-    evaluate, hopa_priorities, straightforward_config, JobSpec, Os, OsParams, ServiceConfig,
-    SynthesisService,
+    evaluate, hopa_priorities, straightforward_config, JobSpec, Os, OsParams, SynthesisService,
 };
 use mcs_sim::{
     simulate, simulate_with_faults, ExecutionModel, FaultParams, FaultPlan, SimParams, SimReport,
@@ -385,40 +382,31 @@ pub fn run_campaign(spec: &CampaignSpec) -> (Vec<CellRecord>, CampaignSummary) {
 
 /// Runs the listed cells of `spec` (the `--cell K` replay path runs one).
 ///
-/// OS-style cells are synthesized first, fanned across a
-/// [`SynthesisService`] worker pool under `spec.deadline`; evaluation and
+/// OS-style cells are synthesized first, as one
+/// [`SynthesisService::run_batch`] under `spec.deadline`; evaluation and
 /// the two simulation legs then run sequentially per cell, so the records
 /// come back in the order of `indices`.
 pub fn run_cells(spec: &CampaignSpec, indices: &[u64]) -> Vec<CellRecord> {
     let cells: Vec<CampaignCell> = indices.iter().map(|&i| plan_cell(spec, i)).collect();
     let systems: Vec<Arc<_>> = cells.iter().map(|c| Arc::new(generate(&c.gen))).collect();
 
-    // Fan the OS syntheses out; `tag = index + 1` pairs records to cells
-    // (0 marks "untagged" in the record stream, hence the shift).
-    let service = SynthesisService::start(ServiceConfig {
-        queue_capacity: cells.len().max(1),
-        ..ServiceConfig::default()
-    });
-    for (cell, system) in cells.iter().zip(&systems) {
-        if cell.style == ConfigStyle::Os {
-            service
-                .try_submit(
-                    JobSpec::new(
-                        format!("cell/{}", cell.index),
-                        Arc::clone(system),
-                        cell.analysis,
-                        Os::new(OsParams::default()),
-                    )
-                    .deadline(spec.deadline)
-                    .tag(cell.index + 1),
-                )
-                .expect("queue sized to the cell count");
-        }
-    }
-    let mut synthesized: HashMap<u64, _> = HashMap::new();
-    for record in service.shutdown() {
-        synthesized.insert(record.tag - 1, record.outcome);
-    }
+    // Fan the OS syntheses out; records come back in submission order,
+    // i.e. the order of the OS cells.
+    let jobs = cells
+        .iter()
+        .zip(&systems)
+        .filter(|(cell, _)| cell.style == ConfigStyle::Os)
+        .map(|(cell, system)| {
+            JobSpec::new(
+                format!("cell/{}", cell.index),
+                Arc::clone(system),
+                cell.analysis,
+                Os::new(OsParams::default()),
+            )
+            .deadline(spec.deadline)
+        })
+        .collect();
+    let mut synthesized = SynthesisService::run_batch(jobs).into_iter();
 
     cells
         .iter()
@@ -432,8 +420,9 @@ pub fn run_cells(spec: &CampaignSpec, indices: &[u64]) -> Vec<CellRecord> {
                 }
                 ConfigStyle::Os => {
                     let outcome = synthesized
-                        .remove(&cell.index)
-                        .expect("one synthesis record per OS cell");
+                        .next()
+                        .expect("one synthesis record per OS cell")
+                        .outcome;
                     let kind = outcome.kind();
                     match outcome.into_report() {
                         Ok(report) => report.best.config,

@@ -31,10 +31,10 @@
 //! `BENCH_<figure>.jsonl` in the repository root, or the `--jsonl PATH`
 //! override — alongside their text tables.
 //!
-//! The sweeps are (instance × strategy) job queues served by
-//! [`mcs_opt::ExperimentRunner`]: embarrassingly parallel, dynamically
+//! The sweeps are (instance × strategy) job batches run by
+//! [`SynthesisService::run_batch`]: embarrassingly parallel, dynamically
 //! load-balanced across cores (set `RAYON_NUM_THREADS` to cap the
-//! workers), with records collected in submission order — so parallel
+//! workers), with records returned in submission order — so parallel
 //! output is identical to a sequential run.
 
 #![forbid(unsafe_code)]
@@ -42,6 +42,10 @@
 
 pub mod campaign;
 pub mod seed_baseline;
+
+use std::sync::Arc;
+
+use mcs_opt::{JobRecord, JobSpec, SynthesisReport, SynthesisService};
 
 /// Command-line options shared by the experiment binaries.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -118,10 +122,10 @@ impl ExperimentOptions {
     }
 }
 
-/// Writes one [`mcs_opt::ExperimentRecord`] JSON line per record to `path`
-/// (overwriting) and reports where they went. Errors are printed, not
-/// propagated — machine-readable records must never fail a sweep.
-pub fn write_jsonl(path: &std::path::Path, records: &[mcs_opt::ExperimentRecord]) {
+/// Writes one [`JobRecord`] JSON line per record to `path` (overwriting)
+/// and reports where they went. Errors are printed, not propagated —
+/// machine-readable records must never fail a sweep.
+pub fn write_jsonl(path: &std::path::Path, records: &[JobRecord]) {
     let file = match std::fs::File::create(path) {
         Ok(f) => f,
         Err(e) => {
@@ -141,6 +145,26 @@ pub fn write_jsonl(path: &std::path::Path, records: &[mcs_opt::ExperimentRecord]
         Ok(_) => println!("recorded {n} experiment records in {}", path.display()),
         Err(e) => eprintln!("could not flush {}: {e}", path.display()),
     }
+}
+
+/// The (full or partial) report of a sweep record. A record without one
+/// is reported on stderr and yields `None`, so a failed run (unanalyzable
+/// instance, panic) skips its instance in the aggregate instead of
+/// aborting the sweep.
+pub fn report_or_skip(record: &JobRecord) -> Option<&SynthesisReport> {
+    let report = record.outcome.report();
+    if report.is_none() {
+        eprintln!(
+            "skipping {} ({}): {}",
+            record.name,
+            record.strategy,
+            record
+                .outcome
+                .error()
+                .unwrap_or_else(|| record.outcome.kind().to_string())
+        );
+    }
+    report
 }
 
 /// Records one bench section into `BENCH_core.json` (repo root, or the
@@ -202,43 +226,43 @@ pub struct SweepRow {
     pub instances: Vec<(String, mcs_gen::GeneratorParams)>,
 }
 
-/// Runs OS, OR and SAR on every instance of every row through one
-/// [`mcs_opt::ExperimentRunner`] queue and prints the average %-deviation
+/// Runs OS, OR and SAR on every instance of every row as one
+/// [`SynthesisService::run_batch`] and prints the average %-deviation
 /// table of OS and OR from the SAR reference (the Fig-9c shape). Returns
 /// every record, row-major with OS/OR/SAR per instance, for JSON-lines
 /// emission.
 ///
-/// A failed run no longer aborts the sweep: its instance is skipped in the
+/// A failed run does not abort the sweep: its instance is skipped in the
 /// aggregate (and reported on stderr), the other instances still count —
-/// the per-record `Result` is the unit of failure, not the batch.
+/// the per-record outcome is the unit of failure, not the batch.
 ///
 /// OS and OR are independent jobs — both are deterministic, so the OS
 /// column equals the step-1 result inside OR. (The standalone OS pass is
 /// re-run inside OR, but it is a few percent of an OR+SAR job; the
 /// one-strategy-per-job model keeps records uniform.)
-pub fn run_deviation_sweep(sa_iters: u32, rows: &[SweepRow]) -> Vec<mcs_opt::ExperimentRecord> {
-    use mcs_opt::{ExperimentJob, Or, OrParams, Os, Sa, SaParams};
+pub fn run_deviation_sweep(sa_iters: u32, rows: &[SweepRow]) -> Vec<JobRecord> {
+    use mcs_opt::{Or, OrParams, Os, Sa, SaParams};
 
     let analysis = mcs_core::AnalysisParams::default();
-    let mut runner = mcs_opt::ExperimentRunner::new();
+    let mut jobs = Vec::new();
     for row in rows {
         for (seed_index, (instance, params)) in row.instances.iter().enumerate() {
-            let system = std::sync::Arc::new(mcs_gen::generate(params));
-            runner.push(ExperimentJob::new(
+            let system = Arc::new(mcs_gen::generate(params));
+            jobs.push(JobSpec::new(
                 instance.clone(),
-                std::sync::Arc::clone(&system),
+                Arc::clone(&system),
                 analysis,
                 Os::new(OrParams::default().os),
             ));
-            runner.push(ExperimentJob::new(
+            jobs.push(JobSpec::new(
                 instance.clone(),
-                std::sync::Arc::clone(&system),
+                Arc::clone(&system),
                 analysis,
                 Or::new(OrParams::default()),
             ));
-            runner.push(ExperimentJob::new(
+            jobs.push(JobSpec::new(
                 instance.clone(),
-                std::sync::Arc::clone(&system),
+                system,
                 analysis,
                 Sa::resources(SaParams {
                     iterations: sa_iters,
@@ -248,7 +272,7 @@ pub fn run_deviation_sweep(sa_iters: u32, rows: &[SweepRow]) -> Vec<mcs_opt::Exp
             ));
         }
     }
-    let records = runner.run();
+    let records = SynthesisService::run_batch(jobs);
 
     println!("{:>9} {:>10} {:>10} {:>8}", "messages", "OS", "OR", "used");
     let mut per_point = records.chunks_exact(3);
@@ -260,13 +284,7 @@ pub fn run_deviation_sweep(sa_iters: u32, rows: &[SweepRow]) -> Vec<mcs_opt::Exp
             let point = per_point.next().expect("three records per instance");
             let reports: Vec<_> = point
                 .iter()
-                .filter_map(|record| match &record.report {
-                    Ok(report) => Some(&report.best),
-                    Err(e) => {
-                        eprintln!("skipping {} ({}): {e}", record.instance, record.strategy);
-                        None
-                    }
-                })
+                .filter_map(|record| report_or_skip(record).map(|report| &report.best))
                 .collect();
             let [os, or, sar] = reports[..] else {
                 failed += 1;

@@ -20,7 +20,9 @@ use mcs_core::{
     TtpQueueParams,
 };
 use mcs_model::{MessageId, MessageRoute, NodeId, Priority, ProcessId, System, SystemConfig, Time};
-use mcs_ttp::{list_schedule, SchedulerInput, TtcSchedule};
+use mcs_ttp::{
+    critical_path_priorities_into, list_schedule_dense_into, DenseSchedulerInput, TtcSchedule,
+};
 
 /// The seed's `mcs_opt::evaluate`: one fresh analysis plus the cost scalars.
 ///
@@ -72,13 +74,28 @@ pub fn seed_multi_cluster_scheduling(
     let mut last = None;
     while iterations < params.max_outer_iterations {
         iterations += 1;
-        let input = SchedulerInput {
-            system,
-            tdma: &config.tdma,
-            process_releases: &process_releases,
-            message_releases: &message_releases,
-        };
-        let schedule = list_schedule(&input)?;
+        // Flatten the release maps into the scheduler's dense tables.
+        let mut priorities = Vec::new();
+        critical_path_priorities_into(system, &config.tdma, &mut priorities);
+        let mut dense_process_releases = vec![None; app.processes().len()];
+        for (&p, &t) in &process_releases {
+            dense_process_releases[p.index()] = Some(t);
+        }
+        let mut dense_message_releases = vec![None; app.messages().len()];
+        for (&m, &t) in &message_releases {
+            dense_message_releases[m.index()] = Some(t);
+        }
+        let mut schedule = TtcSchedule::new();
+        list_schedule_dense_into(
+            &DenseSchedulerInput {
+                system,
+                tdma: &config.tdma,
+                process_releases: &dense_process_releases,
+                message_releases: &dense_message_releases,
+            },
+            &priorities,
+            &mut schedule,
+        )?;
         let holistic = Holistic::new(
             system,
             config,

@@ -46,7 +46,7 @@
 //!   (its derived releases are read straight off the snapshot), with its
 //!   seeds parked on the slot's pending list;
 //! * everything else — structural (TDMA) changes, stale/diverged/unstable
-//!   snapshots, cones past [`AnalysisParams::delta_frontier_percent`] —
+//!   snapshots, cones past the frontier bound (`DELTA_FRONTIER_PERCENT`) —
 //!   falls back to the full fixed point of that iteration.
 //!
 //! Results are **bit-identical** to [`Evaluator::evaluate`] by
@@ -72,6 +72,13 @@ use crate::queues::TtpQueueParams;
 use crate::rta::TaskFlow;
 use crate::schedulability::SchedulabilityDegree;
 use crate::validate::validate_config;
+
+/// Frontier bound of delta evaluation, in percent of all analyzed entities
+/// (processes + both message legs): [`Evaluator::evaluate_delta`] falls
+/// back to the full fixed point when the closed dirty cone grows past this
+/// fraction — a near-total cone pays the delta bookkeeping without saving
+/// kernel work.
+const DELTA_FRONTIER_PERCENT: usize = 75;
 
 /// One ET-scheduled CPU and the processes it hosts.
 #[derive(Clone, Debug)]
@@ -916,11 +923,8 @@ impl<'s> Evaluator<'s> {
             &mut self.scratch.msg_release,
         );
 
-        // Frontier bound: a dirty cone past this size pays the delta
-        // bookkeeping without saving kernel work.
         let entity_total = self.ctx.proc_is_tt.len() + 2 * self.ctx.route.len();
-        let cone_limit =
-            entity_total.saturating_mul(self.params.delta_frontier_percent.min(100) as usize) / 100;
+        let cone_limit = entity_total.saturating_mul(DELTA_FRONTIER_PERCENT) / 100;
 
         let mut iterations = 0;
         let mut settled = false;

@@ -50,7 +50,6 @@ mod architecture;
 mod config;
 mod error;
 mod graph;
-mod hypergraph;
 mod ids;
 mod message;
 mod process;
@@ -68,7 +67,6 @@ pub use config::{
 };
 pub use error::{ConfigError, ModelError};
 pub use graph::ProcessGraph;
-pub use hypergraph::{unroll_to_hyperperiod, Hypergraph};
 pub use ids::{GraphId, MessageId, NodeId, ProcessId, SlotId};
 pub use message::Message;
 pub use process::Process;

@@ -15,10 +15,11 @@
 //! * [`Sf`] (SF), [`Sa::schedule`] (SAS) and [`Sa::resources`] (SAR) — the
 //!   evaluation baselines.
 //!
-//! On top of single runs, [`Portfolio`] runs strategies on one instance in
-//! parallel across rayon workers and [`ExperimentRunner`] serves whole
-//! batches of (instance × strategy) jobs — the layer the paper-reproduction
-//! sweeps and any future traffic sit on.
+//! On top of single runs, the [`serve`] module's [`SynthesisService`]
+//! serves streams of jobs; [`SynthesisService::run_batch`] runs a batch of
+//! (instance × strategy) [`JobSpec`]s known up front and returns the
+//! records in submission order, and [`best_record`] picks a batch's winner
+//! — the layer the paper-reproduction sweeps and any future traffic sit on.
 //!
 //! The free functions of the pre-`Synthesis` API (`optimize_schedule`,
 //! `optimize_resources`, `sa_schedule`, `sa_resources`, `anneal`) have
@@ -113,12 +114,11 @@ pub use os::{recommended_lengths, Os, OsParams, OsResult};
 pub use sampler::MoveSampler;
 pub use sensitivity::{criticality_ranking, wcet_slack, WcetSlack};
 pub use serve::{
-    CancelCause, JobId, JobOutcome, JobRecord, JobSpec, RetryPolicy, ServiceConfig, SubmitError,
-    SynthesisService,
+    best_record, CancelCause, JobId, JobOutcome, JobRecord, JobSpec, RetryPolicy, ServiceConfig,
+    SubmitError, SynthesisService,
 };
 pub use sf::{minimal_slot_capacities, straightforward_config, Sf};
 pub use synthesis::{
-    Budget, BudgetAxis, CancelToken, EventCounter, ExperimentJob, ExperimentRecord,
-    ExperimentRunner, Objective, Observer, Portfolio, PortfolioReport, SearchCtx, SearchEvent,
-    Selection, Strategy, Synthesis, SynthesisError, SynthesisReport, TrajectoryPoint,
+    Budget, BudgetAxis, CancelToken, EventCounter, Objective, Observer, SearchCtx, SearchEvent,
+    Strategy, Synthesis, SynthesisError, SynthesisReport, TrajectoryPoint,
 };

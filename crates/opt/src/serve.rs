@@ -1,14 +1,14 @@
 //! `mcs::serve` — the resilient streaming synthesis service.
 //!
-//! [`ExperimentRunner`](crate::ExperimentRunner) serves a *static* batch:
-//! every job is known up front, the pool drains it, the program ends. This
-//! module is the always-on evolution of that shape — the serving-robustness
-//! layer an inference stack needs: admission control, deadlines, isolation
-//! and resume. A [`SynthesisService`] owns a fixed worker pool fed from a
-//! bounded priority queue; jobs are submitted while earlier ones run, and
-//! every job ends in a structured [`JobRecord`] streamed back to the
-//! consumer (with a stable JSON-lines rendering via
-//! [`mcs_core::json_line`]).
+//! A [`SynthesisService`] is the serving-robustness layer an inference
+//! stack needs: admission control, deadlines, isolation and resume. It
+//! owns a fixed worker pool fed from a bounded priority queue; jobs are
+//! submitted while earlier ones run, and every job ends in a structured
+//! [`JobRecord`] streamed back to the consumer (with a stable JSON-lines
+//! rendering via [`mcs_core::json_line`]). A *static* batch — every job
+//! known up front, as in the `fig9` sweeps — goes through
+//! [`SynthesisService::run_batch`], which returns the records in
+//! submission order; [`best_record`] picks a batch's winner.
 //!
 //! # Contracts
 //!
@@ -105,7 +105,8 @@ use mcs_core::AnalysisParams;
 use mcs_model::System;
 
 use crate::synthesis::{
-    Budget, BudgetAxis, CancelToken, Strategy, Synthesis, SynthesisError, SynthesisReport,
+    Budget, BudgetAxis, CancelToken, Objective, Strategy, Synthesis, SynthesisError,
+    SynthesisReport,
 };
 
 // ---------------------------------------------------------------------------
@@ -375,6 +376,15 @@ impl JobOutcome {
         }
     }
 
+    /// The failure message of a failed or panicked run.
+    pub fn error(&self) -> Option<String> {
+        match self {
+            JobOutcome::Failed(e) => Some(e.to_string()),
+            JobOutcome::Panicked { message } => Some(message.clone()),
+            _ => None,
+        }
+    }
+
     /// Converts the outcome into the `Result` shape a direct
     /// [`Synthesis::run`] would have produced: complete and partial
     /// reports are `Ok` (their `exhausted_by` axis tells truncation
@@ -430,11 +440,7 @@ impl JobRecord {
     /// `elapsed_micros`.
     pub fn json_line(&self) -> String {
         use mcs_core::JsonField as F;
-        let error = match &self.outcome {
-            JobOutcome::Failed(e) => Some(e.to_string()),
-            JobOutcome::Panicked { message } => Some(message.clone()),
-            _ => None,
-        };
+        let error = self.outcome.error();
         let mut fields = vec![
             ("job", F::UInt(self.id.0)),
             ("name", F::Str(&self.name)),
@@ -469,6 +475,21 @@ impl JobRecord {
         fields.push(("elapsed_micros", F::UInt(self.elapsed_micros)));
         mcs_core::json_line(&fields)
     }
+}
+
+/// The index of a batch's winner: the record whose (full or partial)
+/// report minimizes `objective`, ties broken toward the lowest index.
+/// Records without a report are skipped; `None` when no record has one.
+pub fn best_record(records: &[JobRecord], objective: Objective) -> Option<usize> {
+    records
+        .iter()
+        .enumerate()
+        .filter_map(|(index, record)| {
+            let report = record.outcome.report()?;
+            Some((objective.evaluation_cost(&report.best), index))
+        })
+        .min()
+        .map(|(_, index)| index)
 }
 
 // ---------------------------------------------------------------------------
@@ -654,6 +675,29 @@ impl SynthesisService {
             tx: Some(tx),
             workers: handles,
         }
+    }
+
+    /// Runs a batch known up front and returns one record per job in
+    /// submission order (sorted by [`JobId`]), whatever order the workers
+    /// finished in. The pool has `min(jobs, ServiceConfig::default().workers)`
+    /// workers and a queue sized to the batch, so submission never blocks;
+    /// every job gets the service's panic isolation. An empty batch returns
+    /// at once without starting threads.
+    pub fn run_batch(jobs: Vec<JobSpec>) -> Vec<JobRecord> {
+        if jobs.is_empty() {
+            return Vec::new();
+        }
+        let service = SynthesisService::start(ServiceConfig {
+            workers: ServiceConfig::default().workers.min(jobs.len()),
+            queue_capacity: jobs.len(),
+            ..ServiceConfig::default()
+        });
+        for job in jobs {
+            service.try_submit(job).expect("queue sized to the batch");
+        }
+        let mut records = service.shutdown();
+        records.sort_by_key(|record| record.id);
+        records
     }
 
     /// Submits a job without blocking.

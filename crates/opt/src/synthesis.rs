@@ -1,39 +1,32 @@
 //! The synthesis front door: one strategy-driven driver for every search
-//! heuristic of the paper, plus portfolio execution and batch experiment
-//! serving.
+//! heuristic of the paper.
 //!
 //! Historically each heuristic (SF, SAS/SAR annealing, OS, OR, HOPA
 //! seeding) was a free function hand-wiring its own [`Evaluator`], loop and
 //! result struct, and every experiment binary re-implemented the same
-//! driver glue. This module replaces that with three composable layers:
+//! driver glue. This module replaces that with **[`Synthesis`]**, a
+//! builder-style driver running *one* [`Strategy`] against *one* system:
 //!
-//! 1. **[`Synthesis`]** — a builder-style driver running *one*
-//!    [`Strategy`] against *one* system:
+//! ```no_run
+//! use mcs_core::AnalysisParams;
+//! use mcs_gen::{generate, GeneratorParams};
+//! use mcs_opt::{Budget, Sa, SaParams, Synthesis};
 //!
-//!    ```no_run
-//!    use mcs_core::AnalysisParams;
-//!    use mcs_gen::{generate, GeneratorParams};
-//!    use mcs_opt::{Budget, Sa, SaParams, Synthesis};
+//! let system = generate(&GeneratorParams::paper_sized(2, 1));
+//! let report = Synthesis::builder(&system)
+//!     .analysis(AnalysisParams::default())
+//!     .strategy(Sa::resources(SaParams::default()))
+//!     .budget(Budget::evals(200_000))
+//!     .run()
+//!     .expect("the SA start configuration is analyzable");
+//! println!("schedulable: {}", report.best.is_schedulable());
+//! ```
 //!
-//!    let system = generate(&GeneratorParams::paper_sized(2, 1));
-//!    let report = Synthesis::builder(&system)
-//!        .analysis(AnalysisParams::default())
-//!        .strategy(Sa::resources(SaParams::default()))
-//!        .budget(Budget::evals(200_000))
-//!        .run()
-//!        .expect("the SA start configuration is analyzable");
-//!    println!("schedulable: {}", report.best.is_schedulable());
-//!    ```
-//!
-//! 2. **[`Portfolio`]** — N strategies (or N seeds of one strategy) racing
-//!    on the same instance across rayon workers, with deterministic winner
-//!    selection ([`Selection::FirstSchedulable`] or
-//!    [`Selection::BestCost`]).
-//!
-//! 3. **[`ExperimentRunner`]** — a batch queue of (instance × strategy)
-//!    jobs fanned out across cores; the serving layer the `fig9` sweeps
-//!    sit on. Every job produces an [`ExperimentRecord`] with a stable
-//!    JSON-lines rendering (via [`mcs_core::json_line`]).
+//! Batches of runs — several strategies on one instance, or the
+//! (instance × strategy) grids of the `fig9` sweeps — go through
+//! [`SynthesisService::run_batch`](crate::serve::SynthesisService::run_batch),
+//! which runs each job as one `Synthesis::run` on a panic-isolated worker
+//! pool; [`best_record`](crate::serve::best_record) picks the winner.
 //!
 //! # The `Strategy` contract
 //!
@@ -69,17 +62,15 @@
 //! Every strategy shipped here is a pure function of (system, analysis
 //! params, strategy params, budget): a seeded run reproduces its **entire
 //! event stream** — same events, same order, same payloads — and therefore
-//! its report, bit for bit. [`Portfolio::run`] and [`ExperimentRunner::run`]
-//! preserve that: results are collected in submission order regardless of
-//! worker interleaving, and winner selection is a deterministic function of
-//! the collected reports (ties break toward the lowest entry index).
+//! its report, bit for bit. [`SynthesisService::run_batch`](crate::serve::SynthesisService::run_batch)
+//! preserves that: records come back in submission order regardless of
+//! worker interleaving, and [`best_record`](crate::serve::best_record) is a
+//! deterministic function of them (ties break toward the lowest index).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use rayon::prelude::*;
 
 use mcs_core::{
     AnalysisError, AnalysisParams, BatchRequest, BatchScratch, DeltaSeeds, EvalSummary, Evaluator,
@@ -770,8 +761,8 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
 /// Implementations drive the search loop through the [`SearchCtx`] (see the
 /// [module docs](self) for the full contract): evaluate through the
 /// context, record incumbents, poll [`SearchCtx::exhausted`], emit events.
-/// `Send` is required so strategies can fan out across [`Portfolio`] and
-/// [`ExperimentRunner`] workers.
+/// `Send` is required so strategies can run on
+/// [`SynthesisService`](crate::serve::SynthesisService) workers.
 pub trait Strategy: Send {
     /// A stable, human-readable strategy name (`"SF"`, `"SAS"`, …).
     fn name(&self) -> &'static str;
@@ -1023,372 +1014,11 @@ impl<'s, 'a> Synthesis<'s, 'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Portfolio
-// ---------------------------------------------------------------------------
-
-/// How a [`Portfolio`] picks its winner among the collected reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Selection {
-    /// The first entry (in insertion order) whose incumbent is
-    /// schedulable; falls back to `BestCost(Objective::Schedule)` when none
-    /// is.
-    FirstSchedulable,
-    /// The entry minimizing the objective; ties break toward the lowest
-    /// entry index.
-    BestCost(Objective),
-}
-
-/// The result of a [`Portfolio`] run.
-#[derive(Debug)]
-pub struct PortfolioReport {
-    /// Index of the winning entry, `None` when every entry failed.
-    pub winner: Option<usize>,
-    /// Every entry's labelled report, in insertion order.
-    pub reports: Vec<(String, Result<SynthesisReport, SynthesisError>)>,
-}
-
-impl PortfolioReport {
-    /// The winning entry's label and report.
-    pub fn winner_report(&self) -> Option<(&str, &SynthesisReport)> {
-        let index = self.winner?;
-        let (label, report) = &self.reports[index];
-        Some((label.as_str(), report.as_ref().expect("winner is Ok")))
-    }
-}
-
-/// Runs N strategies (or N seeds) against one system in parallel and picks
-/// a winner deterministically. See the [module docs](self).
-pub struct Portfolio<'s, 'a> {
-    system: &'s System,
-    analysis: AnalysisParams,
-    entries: Vec<(String, Box<dyn Strategy + 'a>)>,
-    budget: Budget,
-    selection: Selection,
-}
-
-impl<'s, 'a> std::fmt::Debug for Portfolio<'s, 'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Portfolio").finish_non_exhaustive()
-    }
-}
-
-impl<'s, 'a> Portfolio<'s, 'a> {
-    /// Starts a portfolio against `system` with default analysis
-    /// parameters, unlimited per-entry budget and
-    /// [`Selection::FirstSchedulable`].
-    pub fn builder(system: &'s System) -> Self {
-        Portfolio {
-            system,
-            analysis: AnalysisParams::default(),
-            entries: Vec::new(),
-            budget: Budget::UNLIMITED,
-            selection: Selection::FirstSchedulable,
-        }
-    }
-
-    /// Sets the analysis parameters shared by every entry.
-    pub fn analysis(mut self, params: AnalysisParams) -> Self {
-        self.analysis = params;
-        self
-    }
-
-    /// Adds a labelled strategy entry.
-    pub fn add(mut self, label: impl Into<String>, strategy: impl Strategy + 'a) -> Self {
-        self.entries.push((label.into(), Box::new(strategy)));
-        self
-    }
-
-    /// Sets the per-entry evaluation budget.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Sets the winner-selection rule.
-    pub fn selection(mut self, selection: Selection) -> Self {
-        self.selection = selection;
-        self
-    }
-
-    /// Number of entries added so far.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no entries were added.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Runs every entry (in parallel across rayon workers) and selects the
-    /// winner. Reports come back in insertion order.
-    pub fn run(self) -> PortfolioReport {
-        let Portfolio {
-            system,
-            analysis,
-            entries,
-            budget,
-            selection,
-        } = self;
-        let reports: Vec<(String, Result<SynthesisReport, SynthesisError>)> = entries
-            .into_par_iter()
-            .map(|(label, strategy)| {
-                let report = Synthesis::builder(system)
-                    .analysis(analysis)
-                    .budget(budget)
-                    .strategy(strategy)
-                    .run();
-                (label, report)
-            })
-            .collect();
-        let winner = select_winner(&reports, selection);
-        PortfolioReport { winner, reports }
-    }
-}
-
-fn select_winner(
-    reports: &[(String, Result<SynthesisReport, SynthesisError>)],
-    selection: Selection,
-) -> Option<usize> {
-    let ok = |i: &usize| reports[*i].1.as_ref().ok();
-    let indices: Vec<usize> = (0..reports.len()).filter(|i| ok(i).is_some()).collect();
-    if indices.is_empty() {
-        return None;
-    }
-    match selection {
-        Selection::FirstSchedulable => indices
-            .iter()
-            .copied()
-            .find(|i| ok(i).is_some_and(|r| r.best.is_schedulable()))
-            .or_else(|| select_winner(reports, Selection::BestCost(Objective::Schedule))),
-        Selection::BestCost(objective) => indices.into_iter().min_by_key(|i| {
-            let report = reports[*i].1.as_ref().expect("filtered to Ok");
-            (objective.evaluation_cost(&report.best), *i)
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batch experiment serving
-// ---------------------------------------------------------------------------
-
-/// One (instance × strategy) unit of batch work for [`ExperimentRunner`].
-pub struct ExperimentJob {
-    /// Instance label, e.g. `"nodes=4,seed=17"`.
-    pub instance: String,
-    /// Strategy label, e.g. `"OS"`. Defaults to [`Strategy::name`] but may
-    /// carry run-specific detail (`"SAS/iters=2000"`).
-    pub strategy_label: String,
-    system: Arc<System>,
-    analysis: AnalysisParams,
-    strategy: Box<dyn Strategy>,
-    budget: Budget,
-    deadline: Option<Duration>,
-}
-
-impl std::fmt::Debug for ExperimentJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExperimentJob").finish_non_exhaustive()
-    }
-}
-
-impl ExperimentJob {
-    /// Creates a job with the strategy's own name as its label.
-    pub fn new(
-        instance: impl Into<String>,
-        system: Arc<System>,
-        analysis: AnalysisParams,
-        strategy: impl Strategy + 'static,
-    ) -> Self {
-        ExperimentJob {
-            instance: instance.into(),
-            strategy_label: strategy.name().to_string(),
-            system,
-            analysis,
-            strategy: Box::new(strategy),
-            budget: Budget::UNLIMITED,
-            deadline: None,
-        }
-    }
-
-    /// Overrides the strategy label.
-    pub fn labelled(mut self, label: impl Into<String>) -> Self {
-        self.strategy_label = label.into();
-        self
-    }
-
-    /// Sets the job's evaluation budget.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Caps the job's wall-clock time: a run past `deadline` is wound down
-    /// cooperatively and its record reports the partial result (with
-    /// [`BudgetAxis::WallClock`] as the exhausted axis) instead of holding
-    /// the whole batch hostage.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    fn into_spec(self) -> crate::serve::JobSpec {
-        let mut spec =
-            crate::serve::JobSpec::new(self.instance, self.system, self.analysis, self.strategy)
-                .labelled(self.strategy_label)
-                .budget(self.budget);
-        if let Some(deadline) = self.deadline {
-            spec = spec.deadline(deadline);
-        }
-        spec
-    }
-}
-
-/// The outcome of one [`ExperimentJob`], with a stable machine-readable
-/// rendering.
-#[derive(Debug)]
-pub struct ExperimentRecord {
-    /// The job's instance label.
-    pub instance: String,
-    /// The job's strategy label.
-    pub strategy: String,
-    /// Wall-clock time of the run in microseconds.
-    pub elapsed_micros: u64,
-    /// The synthesis report (or why the run failed).
-    pub report: Result<SynthesisReport, SynthesisError>,
-}
-
-impl ExperimentRecord {
-    /// The report of a job that must not fail.
-    ///
-    /// # Panics
-    ///
-    /// Panics with `context` if the job failed.
-    pub fn expect(&self, context: &str) -> &SynthesisReport {
-        match &self.report {
-            Ok(report) => report,
-            Err(e) => panic!("{context}: {e}"),
-        }
-    }
-
-    /// Renders the record as one stable JSON line (see
-    /// [`mcs_core::json_line`]): `instance`, `strategy`, `ok`,
-    /// `schedulable`, `schedule_cost`, `total_buffers`, `evaluations`,
-    /// `exhausted` (plus `exhausted_by` for truncated runs),
-    /// `elapsed_micros`. Failed runs carry `ok: false` and omit the result
-    /// fields.
-    pub fn json_line(&self) -> String {
-        use mcs_core::JsonField as F;
-        match &self.report {
-            Ok(r) => {
-                let mut fields = vec![
-                    ("instance", F::Str(&self.instance)),
-                    ("strategy", F::Str(&self.strategy)),
-                    ("ok", F::Bool(true)),
-                    ("schedulable", F::Bool(r.best.is_schedulable())),
-                    ("schedule_cost", F::Int(r.best.schedule_cost())),
-                    ("total_buffers", F::UInt(r.best.total_buffers)),
-                    ("evaluations", F::UInt(r.evaluations)),
-                    ("exhausted", F::Bool(r.exhausted)),
-                ];
-                if let Some(axis) = r.exhausted_by {
-                    fields.push(("exhausted_by", F::Str(axis.as_str())));
-                }
-                fields.push(("elapsed_micros", F::UInt(self.elapsed_micros)));
-                mcs_core::json_line(&fields)
-            }
-            Err(e) => mcs_core::json_line(&[
-                ("instance", F::Str(&self.instance)),
-                ("strategy", F::Str(&self.strategy)),
-                ("ok", F::Bool(false)),
-                ("error", F::Str(&e.to_string())),
-                ("elapsed_micros", F::UInt(self.elapsed_micros)),
-            ]),
-        }
-    }
-}
-
-/// Batch experiment serving: a queue of [`ExperimentJob`]s fanned out
-/// across a [`crate::serve::SynthesisService`] worker pool, records
-/// collected in submission order.
-///
-/// This is the layer the `fig9` sweep binaries sit on. Since it runs on
-/// the service, each job is **panic-isolated**: a job whose strategy
-/// panics produces a structured failed record
-/// ([`SynthesisError::Panicked`]) while every other job completes — one
-/// poisoned instance can no longer abort a whole sweep. Jobs may also
-/// carry wall-clock deadlines ([`ExperimentJob::deadline`]); a timed-out
-/// job reports its partial result with
-/// [`BudgetAxis::WallClock`] in [`SynthesisReport::exhausted_by`].
-#[derive(Debug, Default)]
-pub struct ExperimentRunner {
-    jobs: Vec<ExperimentJob>,
-}
-
-impl ExperimentRunner {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueues one job.
-    pub fn push(&mut self, job: ExperimentJob) -> &mut Self {
-        self.jobs.push(job);
-        self
-    }
-
-    /// Jobs enqueued so far.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// `true` when the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Runs every job (parallel, dynamically load-balanced across a
-    /// [`crate::serve::SynthesisService`] worker pool; `RAYON_NUM_THREADS`
-    /// caps the workers) and returns the records in submission order —
-    /// parallel output is byte-identical to a sequential run.
-    pub fn run(self) -> Vec<ExperimentRecord> {
-        use crate::serve::{ServiceConfig, SynthesisService};
-
-        if self.jobs.is_empty() {
-            return Vec::new();
-        }
-        let service = SynthesisService::start(ServiceConfig {
-            workers: ServiceConfig::default().workers.min(self.jobs.len()),
-            // The whole batch is known up front: size the queue to it so
-            // submission never blocks.
-            queue_capacity: self.jobs.len(),
-            ..ServiceConfig::default()
-        });
-        for job in self.jobs {
-            service
-                .try_submit(job.into_spec())
-                .expect("queue sized to the batch");
-        }
-        let mut records = service.shutdown();
-        records.sort_by_key(|record| record.id);
-        records
-            .into_iter()
-            .map(|record| ExperimentRecord {
-                instance: record.name,
-                strategy: record.strategy,
-                elapsed_micros: record.elapsed_micros,
-                report: record.outcome.into_report(),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Os, OsParams, Sa, SaParams, Sf};
-    use mcs_gen::{figure4, generate, GeneratorParams};
+    use crate::{Sa, SaParams};
+    use mcs_gen::figure4;
     use mcs_model::Time;
 
     fn quick_sa(seed: u64) -> Sa<'static> {
@@ -1452,68 +1082,6 @@ mod tests {
         // down immediately.
         assert!(report.exhausted);
         assert!(report.evaluations <= 2);
-    }
-
-    #[test]
-    fn portfolio_winner_is_deterministic_across_runs() {
-        let system = generate(&GeneratorParams::paper_sized(2, 23));
-        let run = || {
-            Portfolio::builder(&system)
-                .selection(Selection::BestCost(Objective::Schedule))
-                .add("sf", Sf)
-                .add("sas-0", quick_sa(0))
-                .add("sas-1", quick_sa(1))
-                .add("os", Os::new(OsParams::default()))
-                .run()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.reports.len(), 4);
-        assert_eq!(a.winner, b.winner);
-        let (label_a, report_a) = a.winner_report().expect("one entry succeeds");
-        let (label_b, report_b) = b.winner_report().expect("one entry succeeds");
-        assert_eq!(label_a, label_b);
-        assert_eq!(report_a.summary(), report_b.summary());
-    }
-
-    #[test]
-    fn portfolio_first_schedulable_prefers_insertion_order() {
-        let fig = figure4(Time::from_millis(240));
-        let report = Portfolio::builder(&fig.system)
-            .add("os", Os::new(OsParams::default()))
-            .add("sas", quick_sa(2))
-            .run();
-        // Both find schedulable solutions on figure 4 at 240 ms; the first
-        // entry wins.
-        assert_eq!(report.winner, Some(0));
-    }
-
-    #[test]
-    fn experiment_runner_preserves_submission_order() {
-        let fig = figure4(Time::from_millis(240));
-        let system = Arc::new(fig.system);
-        let mut runner = ExperimentRunner::new();
-        for seed in 0..4 {
-            runner.push(
-                ExperimentJob::new(
-                    format!("fig4#{seed}"),
-                    Arc::clone(&system),
-                    AnalysisParams::default(),
-                    quick_sa(seed),
-                )
-                .labelled(format!("SAS#{seed}")),
-            );
-        }
-        let records = runner.run();
-        assert_eq!(records.len(), 4);
-        for (seed, record) in records.iter().enumerate() {
-            assert_eq!(record.instance, format!("fig4#{seed}"));
-            assert_eq!(record.strategy, format!("SAS#{seed}"));
-            let line = record.json_line();
-            assert!(line.starts_with('{') && line.ends_with('}'));
-            assert!(line.contains("\"ok\": true"));
-            assert!(!line.contains('\n'));
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Robustness suite for the `mcs::serve` streaming service: panic
 //! isolation, retry with backoff, wall-clock deadlines, priority
-//! preemption with bit-identical resume, bounded-queue backpressure, and
-//! graceful drain/shutdown.
+//! preemption with bit-identical resume, bounded-queue backpressure,
+//! graceful drain/shutdown, and ordered batches with winner selection.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -13,8 +13,9 @@ use mcs_gen::{generate, GeneratorParams};
 use mcs_model::System;
 use mcs_opt::synthesis::{SearchCtx, Strategy, SynthesisError};
 use mcs_opt::{
-    Budget, CancelCause, JobOutcome, JobSpec, MoveSampler, RetryPolicy, Sa, SaParams,
-    ServiceConfig, Sf, SubmitError, Synthesis, SynthesisReport, SynthesisService,
+    best_record, Budget, CancelCause, JobId, JobOutcome, JobRecord, JobSpec, MoveSampler,
+    Objective, Os, OsParams, RetryPolicy, Sa, SaParams, ServiceConfig, Sf, SubmitError, Synthesis,
+    SynthesisReport, SynthesisService,
 };
 
 use rand::rngs::StdRng;
@@ -534,45 +535,117 @@ fn submissions_after_shutdown_are_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// The batch runner still rides on the service
+// Batches run on the service
 // ---------------------------------------------------------------------------
 
 #[test]
 fn experiment_runner_reports_structured_failures_instead_of_aborting() {
-    use mcs_opt::{ExperimentJob, ExperimentRunner};
+    // `run_batch` sizes its pool from `RAYON_NUM_THREADS`; every other test
+    // in this file sets its worker count explicitly. With two workers the
+    // slow first job finishes last, so completion order differs from
+    // submission order and `run_batch` has to restore it.
+    std::env::set_var("RAYON_NUM_THREADS", "2");
     let system = Arc::new(small_system(7));
-    let analysis = AnalysisParams::default();
-    let mut runner = ExperimentRunner::new();
-    runner.push(ExperimentJob::new(
-        "ok".to_string(),
-        Arc::clone(&system),
-        analysis,
-        Sf,
-    ));
-    runner.push(ExperimentJob::new(
-        "boom".to_string(),
-        Arc::clone(&system),
-        analysis,
-        Panicking,
-    ));
-    runner.push(ExperimentJob::new(
-        "sas".to_string(),
-        Arc::clone(&system),
-        analysis,
+    let names = ["slow", "boom", "sf", "sas"];
+    let strategy = |index: usize| -> Box<dyn Strategy> {
+        match index {
+            0 => Box::new(SleepySearch {
+                seed: 3,
+                iterations: 20,
+                pause: Duration::from_millis(5),
+            }),
+            1 => Box::new(Panicking),
+            2 => Box::new(Sf),
+            _ => Box::new(Sa::schedule(SaParams {
+                iterations: 20,
+                seed: 0,
+                ..SaParams::default()
+            })),
+        }
+    };
+    let jobs = (0..names.len())
+        .map(|index| spec(names[index], &system, strategy(index)))
+        .collect();
+    let records = SynthesisService::run_batch(jobs);
+    assert_eq!(records.len(), names.len());
+    for (index, record) in records.iter().enumerate() {
+        assert_eq!(record.id, JobId(index as u64));
+        assert_eq!(record.name, names[index]);
+        if index == 1 {
+            assert!(
+                matches!(record.outcome, JobOutcome::Panicked { .. }),
+                "the poisoned job fails structurally without sinking the batch"
+            );
+            continue;
+        }
+        let JobOutcome::Completed(report) = &record.outcome else {
+            panic!(
+                "{}: expected completion, got {}",
+                record.name,
+                record.outcome.kind()
+            );
+        };
+        let direct = Synthesis::builder(&system)
+            .strategy(strategy(index))
+            .run()
+            .expect("analyzable");
+        assert_eq!(report.summary(), direct.summary(), "{}", record.name);
+    }
+}
+
+#[test]
+fn best_record_skips_failures_and_breaks_ties_toward_the_lowest_index() {
+    assert!(SynthesisService::run_batch(Vec::new()).is_empty());
+    assert_eq!(best_record(&[], Objective::Schedule), None);
+
+    let system = Arc::new(small_system(8));
+    // Two identical SF runs tie; the panicked record before them is skipped.
+    let records = SynthesisService::run_batch(vec![
+        spec("boom", &system, Panicking),
+        spec("sf/a", &system, Sf),
+        spec("sf/b", &system, Sf),
+    ]);
+    assert_eq!(best_record(&records, Objective::Schedule), Some(1));
+    assert_eq!(best_record(&records, Objective::Resources), Some(1));
+
+    let failed = SynthesisService::run_batch(vec![
+        spec("boom/a", &system, Panicking),
+        spec("boom/b", &system, Panicking),
+    ]);
+    assert_eq!(best_record(&failed, Objective::Schedule), None);
+}
+
+#[test]
+fn portfolio_winner_is_deterministic_across_runs() {
+    let system = Arc::new(generate(&GeneratorParams::paper_sized(2, 23)));
+    let quick_sa = |seed| {
         Sa::schedule(SaParams {
-            iterations: 20,
-            seed: 0,
+            iterations: 40,
+            seed,
             ..SaParams::default()
-        }),
-    ));
-    let records = runner.run();
-    assert_eq!(records.len(), 3);
-    assert_eq!(records[0].instance, "ok");
-    assert!(records[0].report.is_ok());
-    assert_eq!(records[1].instance, "boom");
-    assert!(
-        matches!(records[1].report, Err(SynthesisError::Panicked(_))),
-        "the poisoned job fails structurally without sinking the batch"
-    );
-    assert!(records[2].report.is_ok());
+        })
+    };
+    let run = || {
+        let records = SynthesisService::run_batch(vec![
+            spec("sf", &system, Sf),
+            spec("sas-0", &system, quick_sa(0)),
+            spec("sas-1", &system, quick_sa(1)),
+            spec("os", &system, Os::new(OsParams::default())),
+        ]);
+        let winner = best_record(&records, Objective::Schedule).expect("one entry succeeds");
+        (records, winner)
+    };
+    let (a, winner_a) = run();
+    let (b, winner_b) = run();
+    assert_eq!(a.len(), 4);
+    assert_eq!(winner_a, winner_b);
+    assert_eq!(a[winner_a].name, b[winner_b].name);
+    let summary = |records: &[JobRecord], index: usize| {
+        records[index]
+            .outcome
+            .report()
+            .expect("the winner has a report")
+            .summary()
+    };
+    assert_eq!(summary(&a, winner_a), summary(&b, winner_b));
 }

@@ -3,7 +3,7 @@
 //! TTP/TDMA substrate for the multi-cluster analysis: round/slot timing
 //! ([`RoundSchedule`]), the static schedule representation — per-node
 //! schedule tables and MEDLs ([`TtcSchedule`]) — and the list scheduler that
-//! builds them ([`list_schedule`]).
+//! builds them ([`list_schedule_dense_into`]).
 //!
 //! # Examples
 //!
@@ -31,8 +31,7 @@ mod rounds;
 mod schedule;
 
 pub use list_scheduler::{
-    critical_path_priorities_into, list_schedule, list_schedule_dense_into, DenseSchedulerInput,
-    ScheduleError, SchedulerInput,
+    critical_path_priorities_into, list_schedule_dense_into, DenseSchedulerInput, ScheduleError,
 };
 pub use render::render_schedule;
 pub use rounds::{RoundSchedule, SlotOccurrence};

@@ -63,23 +63,12 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// Inputs to one static-scheduling pass.
-#[derive(Clone, Copy, Debug)]
-pub struct SchedulerInput<'a> {
-    /// The system being scheduled.
-    pub system: &'a System,
-    /// The TDMA bus configuration β.
-    pub tdma: &'a TdmaConfig,
-    /// Exogenous lower bounds on TT process starts: worst-case arrival of
-    /// inbound ETC traffic plus optimizer pins. Missing entries mean zero.
-    pub process_releases: &'a HashMap<ProcessId, Time>,
-    /// Exogenous lower bounds on message transmission starts: completion of
-    /// ET senders (for frames placed on behalf of the gateway) plus pins.
-    pub message_releases: &'a HashMap<MessageId, Time>,
-}
-
-/// Inputs to one static-scheduling pass with **dense** release tables,
-/// indexed by [`ProcessId::index`]/[`MessageId::index`] (`None` = no bound).
+/// Inputs to one static-scheduling pass, with **dense** release tables
+/// indexed by [`ProcessId::index`]/[`MessageId::index`] (`None` = no bound):
+/// exogenous lower bounds on TT process starts (worst-case arrival of
+/// inbound ETC traffic plus optimizer pins) and on message transmission
+/// starts (completion of ET senders for frames placed on behalf of the
+/// gateway, plus pins).
 ///
 /// This is the shape the incremental evaluation pipeline in `mcs-core`
 /// drives the scheduler with: dense tables compare in O(n) without hashing,
@@ -100,45 +89,12 @@ pub struct DenseSchedulerInput<'a> {
     pub message_releases: &'a [Option<Time>],
 }
 
-/// Runs list scheduling and returns the TTC schedule.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if the TDMA configuration cannot carry the
-/// traffic (missing slot, oversized message, empty round).
-pub fn list_schedule(input: &SchedulerInput<'_>) -> Result<TtcSchedule, ScheduleError> {
-    let app = &input.system.application;
-    let mut priorities = Vec::new();
-    critical_path_priorities_into(input.system, input.tdma, &mut priorities);
-    let mut process_releases = vec![None; app.processes().len()];
-    for (&p, &t) in input.process_releases {
-        process_releases[p.index()] = Some(t);
-    }
-    let mut message_releases = vec![None; app.messages().len()];
-    for (&m, &t) in input.message_releases {
-        message_releases[m.index()] = Some(t);
-    }
-    let mut schedule = TtcSchedule::new();
-    list_schedule_dense_into(
-        &DenseSchedulerInput {
-            system: input.system,
-            tdma: input.tdma,
-            process_releases: &process_releases,
-            message_releases: &message_releases,
-        },
-        &priorities,
-        &mut schedule,
-    )?;
-    Ok(schedule)
-}
-
-/// [`list_schedule`] over a [`DenseSchedulerInput`]: the allocation-free
-/// scheduling entry point of the reusable analysis context. It clears and
-/// refills `schedule` in place (keeping its allocations), reads release
-/// bounds by index (no hash map is flattened per pass) and takes the
-/// critical-path priorities as an input, so a caller iterating schedule ↔
-/// analysis fixed points computes them once per TDMA configuration instead
-/// of once per pass.
+/// Runs list scheduling over a [`DenseSchedulerInput`] — the scheduler's
+/// single entry point. It clears and refills `schedule` in place (keeping
+/// its allocations), reads release bounds by index and takes the
+/// critical-path priorities ([`critical_path_priorities_into`]) as an
+/// input, so a caller iterating schedule ↔ analysis fixed points computes
+/// them once per TDMA configuration instead of once per pass.
 ///
 /// # Errors
 ///
@@ -444,21 +400,36 @@ mod tests {
         (system, tdma)
     }
 
-    fn empty_releases() -> (HashMap<ProcessId, Time>, HashMap<MessageId, Time>) {
-        (HashMap::new(), HashMap::new())
+    /// No release bound on any process of `system`.
+    fn no_releases(system: &System) -> Vec<Option<Time>> {
+        vec![None; system.application.processes().len()]
+    }
+
+    /// One scheduling pass with the given process releases and no message
+    /// releases.
+    fn schedule(
+        system: &System,
+        tdma: &TdmaConfig,
+        process_releases: &[Option<Time>],
+    ) -> Result<TtcSchedule, ScheduleError> {
+        let mut priorities = Vec::new();
+        critical_path_priorities_into(system, tdma, &mut priorities);
+        let message_releases = vec![None; system.application.messages().len()];
+        let input = DenseSchedulerInput {
+            system,
+            tdma,
+            process_releases,
+            message_releases: &message_releases,
+        };
+        let mut schedule = TtcSchedule::new();
+        list_schedule_dense_into(&input, &priorities, &mut schedule)?;
+        Ok(schedule)
     }
 
     #[test]
     fn chain_respects_precedence_and_bus_timing() {
         let (system, tdma) = fixture();
-        let (pr, mr) = empty_releases();
-        let input = SchedulerInput {
-            system: &system,
-            tdma: &tdma,
-            process_releases: &pr,
-            message_releases: &mr,
-        };
-        let s = list_schedule(&input).expect("schedulable");
+        let s = schedule(&system, &tdma, &no_releases(&system)).expect("schedulable");
         let app = &system.application;
         let p1 = ProcessId::new(0);
         let p2 = ProcessId::new(1);
@@ -485,15 +456,9 @@ mod tests {
     #[test]
     fn releases_delay_processes() {
         let (system, tdma) = fixture();
-        let (mut pr, mr) = empty_releases();
-        pr.insert(ProcessId::new(0), Time::from_millis(25));
-        let input = SchedulerInput {
-            system: &system,
-            tdma: &tdma,
-            process_releases: &pr,
-            message_releases: &mr,
-        };
-        let s = list_schedule(&input).expect("schedulable");
+        let mut pr = no_releases(&system);
+        pr[ProcessId::new(0).index()] = Some(Time::from_millis(25));
+        let s = schedule(&system, &tdma, &pr).expect("schedulable");
         assert_eq!(s.start(ProcessId::new(0)), Some(Time::from_millis(25)));
     }
 
@@ -520,14 +485,7 @@ mod tests {
                 capacity_bytes: 8,
             },
         ]);
-        let (pr, mr) = empty_releases();
-        let input = SchedulerInput {
-            system: &system,
-            tdma: &tdma,
-            process_releases: &pr,
-            message_releases: &mr,
-        };
-        let s = list_schedule(&input).expect("schedulable");
+        let s = schedule(&system, &tdma, &no_releases(&system)).expect("schedulable");
         let mut starts = [
             s.start(ProcessId::new(0)).expect("scheduled"),
             s.start(ProcessId::new(1)).expect("scheduled"),
@@ -568,14 +526,7 @@ mod tests {
                 capacity_bytes: 8,
             },
         ]);
-        let (pr, mr) = empty_releases();
-        let input = SchedulerInput {
-            system: &system,
-            tdma: &tdma,
-            process_releases: &pr,
-            message_releases: &mr,
-        };
-        let s = list_schedule(&input).expect("schedulable");
+        let s = schedule(&system, &tdma, &no_releases(&system)).expect("schedulable");
         let mut rounds: Vec<u64> = (0..3)
             .map(|i| s.frame(MessageId::new(i)).expect("placed").round)
             .collect();
@@ -590,15 +541,8 @@ mod tests {
         // Shrink N1's slot below the 8-byte message size.
         let mut small = tdma.clone();
         small.slots_mut()[1].capacity_bytes = 4;
-        let (pr, mr) = empty_releases();
-        let input = SchedulerInput {
-            system: &system,
-            tdma: &small,
-            process_releases: &pr,
-            message_releases: &mr,
-        };
         assert_eq!(
-            list_schedule(&input).unwrap_err(),
+            schedule(&system, &small, &no_releases(&system)).unwrap_err(),
             ScheduleError::MessageTooLarge {
                 message: MessageId::new(0),
                 capacity: 4
@@ -619,15 +563,8 @@ mod tests {
     fn empty_round_is_rejected() {
         let (system, _) = fixture();
         let tdma = TdmaConfig::new(vec![]);
-        let (pr, mr) = empty_releases();
-        let input = SchedulerInput {
-            system: &system,
-            tdma: &tdma,
-            process_releases: &pr,
-            message_releases: &mr,
-        };
         assert_eq!(
-            list_schedule(&input).unwrap_err(),
+            schedule(&system, &tdma, &no_releases(&system)).unwrap_err(),
             ScheduleError::EmptyRound
         );
     }

@@ -99,9 +99,10 @@ pub fn render_schedule(system: &System, tdma: &TdmaConfig, schedule: &TtcSchedul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list_scheduler::{list_schedule, SchedulerInput};
+    use crate::list_scheduler::{
+        critical_path_priorities_into, list_schedule_dense_into, DenseSchedulerInput,
+    };
     use mcs_model::{Application, Architecture, NodeRole, TdmaSlot, Time, TtpBusParams};
-    use std::collections::HashMap;
 
     #[test]
     fn render_contains_tables_and_medl() {
@@ -132,13 +133,19 @@ mod tests {
                 capacity_bytes: 8,
             },
         ]);
-        let (pr, mr) = (HashMap::new(), HashMap::new());
-        let schedule = list_schedule(&SchedulerInput {
-            system: &system,
-            tdma: &tdma,
-            process_releases: &pr,
-            message_releases: &mr,
-        })
+        let mut priorities = Vec::new();
+        critical_path_priorities_into(&system, &tdma, &mut priorities);
+        let mut schedule = TtcSchedule::new();
+        list_schedule_dense_into(
+            &DenseSchedulerInput {
+                system: &system,
+                tdma: &tdma,
+                process_releases: &vec![None; system.application.processes().len()],
+                message_releases: &vec![None; system.application.messages().len()],
+            },
+            &priorities,
+            &mut schedule,
+        )
         .expect("schedulable");
         let text = render_schedule(&system, &tdma, &schedule);
         assert!(text.contains("schedule table: N1"));

@@ -1,14 +1,15 @@
 //! Property-based tests for the TDMA round timing and the list scheduler.
 
-use std::collections::HashMap;
-
 use proptest::prelude::*;
 
 use mcs_model::{
     Application, Architecture, NodeId, NodeRole, SlotId, System, TdmaConfig, TdmaSlot, Time,
     TtpBusParams,
 };
-use mcs_ttp::{list_schedule, RoundSchedule, SchedulerInput};
+use mcs_ttp::{
+    critical_path_priorities_into, list_schedule_dense_into, DenseSchedulerInput, RoundSchedule,
+    TtcSchedule,
+};
 
 fn arb_config() -> impl Strategy<Value = (TdmaConfig, TtpBusParams)> {
     (
@@ -89,6 +90,23 @@ fn random_tt_system(wcets: &[u64], preds: &[usize]) -> System {
     System::new(ab.build(&arch).expect("acyclic"), arch)
 }
 
+/// One list-scheduling pass with dense process releases and no message
+/// releases.
+fn schedule(system: &System, tdma: &TdmaConfig, process_releases: &[Option<Time>]) -> TtcSchedule {
+    let mut priorities = Vec::new();
+    critical_path_priorities_into(system, tdma, &mut priorities);
+    let message_releases = vec![None; system.application.messages().len()];
+    let input = DenseSchedulerInput {
+        system,
+        tdma,
+        process_releases,
+        message_releases: &message_releases,
+    };
+    let mut schedule = TtcSchedule::new();
+    list_schedule_dense_into(&input, &priorities, &mut schedule).expect("schedulable");
+    schedule
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -105,14 +123,8 @@ proptest! {
             TdmaSlot { node: NodeId::new(0), capacity_bytes: 8 },
             TdmaSlot { node: NodeId::new(1), capacity_bytes: 8 },
         ]);
-        let (pr, mr) = (HashMap::new(), HashMap::new());
-        let input = SchedulerInput {
-            system: &system,
-            tdma: &tdma,
-            process_releases: &pr,
-            message_releases: &mr,
-        };
-        let schedule = list_schedule(&input).expect("schedulable");
+        let pr = vec![None; system.application.processes().len()];
+        let schedule = schedule(&system, &tdma, &pr);
         let app = &system.application;
 
         // Precedence: start >= predecessor finish (local) or frame arrival.
@@ -157,17 +169,10 @@ proptest! {
             TdmaSlot { node: NodeId::new(0), capacity_bytes: 8 },
             TdmaSlot { node: NodeId::new(1), capacity_bytes: 8 },
         ]);
-        let mut pr = HashMap::new();
+        let mut pr = vec![None; system.application.processes().len()];
         let first = system.application.processes()[0].id();
-        pr.insert(first, Time::from_ticks(release));
-        let mr = HashMap::new();
-        let input = SchedulerInput {
-            system: &system,
-            tdma: &tdma,
-            process_releases: &pr,
-            message_releases: &mr,
-        };
-        let schedule = list_schedule(&input).expect("schedulable");
+        pr[first.index()] = Some(Time::from_ticks(release));
+        let schedule = schedule(&system, &tdma, &pr);
         prop_assert!(schedule.start(first).expect("scheduled") >= Time::from_ticks(release));
     }
 }

@@ -1,8 +1,10 @@
 //! The paper's real-life example: synthesize the vehicle cruise controller
-//! (40 processes, deadline 250 ms) with a portfolio of the straightforward
+//! (40 processes, deadline 250 ms) with a batch of the straightforward
 //! baseline and the OS heuristic, and compare.
 //!
 //! Run with `cargo run --release --example cruise_controller`.
+
+use std::sync::Arc;
 
 use mcs::prelude::*;
 
@@ -20,17 +22,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Both strategies run in parallel; the winner is the best δΓ.
-    let portfolio = Portfolio::builder(&cc.system)
-        .analysis(AnalysisParams::default())
-        .selection(Selection::BestCost(Objective::Schedule))
-        .add("SF", Sf)
-        .add("OS", Os::new(OsParams::default()))
-        .run();
+    let system = Arc::new(cc.system);
+    let job = |strategy: Box<dyn Strategy>| {
+        JobSpec::new(
+            "cruise",
+            Arc::clone(&system),
+            AnalysisParams::default(),
+            strategy,
+        )
+    };
+    let records = SynthesisService::run_batch(vec![
+        job(Box::new(Sf)),
+        job(Box::new(Os::new(OsParams::default()))),
+    ]);
 
-    for (label, report) in &portfolio.reports {
-        let report = report.as_ref().expect("cruise controller is analyzable");
+    for record in &records {
+        let report = record
+            .outcome
+            .report()
+            .expect("cruise controller is analyzable");
         println!(
-            "{label}: response {:>8}  -> {}",
+            "{}: response {:>8}  -> {}",
+            record.strategy,
             report.best.outcome.graph_response(graph).to_string(),
             if report.best.is_schedulable() {
                 "meets the deadline"
@@ -40,14 +53,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let (winner, best) = portfolio.winner_report().expect("both entries succeed");
+    let winner =
+        &records[best_record(&records, Objective::Schedule).expect("both entries succeed")];
+    let best = winner.outcome.report().expect("the winner has a report");
+    let winner = &winner.strategy;
     println!();
     println!("synthesized TDMA round ({winner}):");
     for (i, slot) in best.best.config.tdma.slots().iter().enumerate() {
         println!(
             "  slot {} -> {} ({} bytes)",
             i,
-            cc.system.architecture.node(slot.node).name(),
+            system.architecture.node(slot.node).name(),
             slot.capacity_bytes
         );
     }

@@ -22,12 +22,12 @@
 //!   cruise controller).
 //!
 //! [`synth`] is the synthesis front door: a [`Strategy`](synth::Strategy)-
-//! driven [`Synthesis`](synth::Synthesis) driver plus
-//! [`Portfolio`](synth::Portfolio) racing and batch
-//! [`ExperimentRunner`](synth::ExperimentRunner) serving. [`serve`] is the
+//! driven [`Synthesis`](synth::Synthesis) driver. [`serve`] is the
 //! resilient streaming service on top — bounded submission queue, per-job
 //! deadlines and priorities with preemption, panic isolation with retry,
-//! and resumable jobs ([`SynthesisService`](serve::SynthesisService)). The
+//! and resumable jobs ([`SynthesisService`](serve::SynthesisService)) —
+//! and its [`run_batch`](serve::SynthesisService::run_batch) runs whole
+//! batches of jobs, records back in submission order. The
 //! [`prelude`] pulls in the handful of types almost every program needs.
 //!
 //! # Examples
@@ -94,9 +94,8 @@ pub mod prelude {
         System, SystemConfig, TdmaConfig, TdmaSlot, Time,
     };
     pub use mcs_opt::{
-        Budget, BudgetAxis, Evaluation, ExperimentJob, ExperimentRecord, ExperimentRunner, Hopa,
-        JobOutcome, JobRecord, JobSpec, Objective, Observer, Or, OrParams, Os, OsParams, Portfolio,
-        Sa, SaParams, SearchEvent, Selection, ServiceConfig, Sf, Strategy, Synthesis,
-        SynthesisReport, SynthesisService,
+        best_record, Budget, BudgetAxis, Evaluation, Hopa, JobOutcome, JobRecord, JobSpec,
+        Objective, Observer, Or, OrParams, Os, OsParams, Sa, SaParams, SearchEvent, ServiceConfig,
+        Sf, Strategy, Synthesis, SynthesisReport, SynthesisService,
     };
 }
