@@ -42,12 +42,9 @@
 //! * an iteration whose release bounds changed is re-scheduled, the new
 //!   schedule is **diffed** against the snapshot's
 //!   ([`TtcSchedule::diff_into`]) and the moved placements join the cone;
-//! * an iteration whose cone contains no release input is skipped outright
-//!   (its derived releases are read straight off the snapshot), with its
-//!   seeds parked on the slot's pending list;
 //! * everything else — structural (TDMA) changes, stale/diverged/unstable
-//!   snapshots, cones past the frontier bound (`DELTA_FRONTIER_PERCENT`) —
-//!   falls back to the full fixed point of that iteration.
+//!   snapshots, restricted passes that exhaust their budget — falls back to
+//!   the full fixed point of that iteration.
 //!
 //! Results are **bit-identical** to [`Evaluator::evaluate`] by
 //! construction; the equivalence is enforced by property tests in
@@ -72,13 +69,6 @@ use crate::queues::TtpQueueParams;
 use crate::rta::TaskFlow;
 use crate::schedulability::SchedulabilityDegree;
 use crate::validate::validate_config;
-
-/// Frontier bound of delta evaluation, in percent of all analyzed entities
-/// (processes + both message legs): [`Evaluator::evaluate_delta`] falls
-/// back to the full fixed point when the closed dirty cone grows past this
-/// fraction — a near-total cone pays the delta bookkeeping without saving
-/// kernel work.
-const DELTA_FRONTIER_PERCENT: usize = 75;
 
 /// One ET-scheduled CPU and the processes it hosts.
 #[derive(Clone, Debug)]
@@ -164,9 +154,6 @@ pub(crate) struct SystemContext {
     /// Outgoing messages of each ET process whose legs the analysis derives
     /// from the sender's response (ETC→ETC and ETC→TTC routes).
     pub proc_out_et_msgs: Vec<Vec<u32>>,
-    /// Whether the process sources an ET-sent TTP frame: its completion
-    /// bounds the frame's release — an input of the static scheduler.
-    pub proc_feeds_msg_release: Vec<bool>,
     /// Source process index of each message.
     pub msg_src: Vec<u32>,
     /// Position of each ETC→TTC message in the FIFO flow array (by message
@@ -342,10 +329,6 @@ impl SystemContext {
                 }
             }
         }
-        let mut proc_feeds_msg_release = vec![false; proc_is_tt.len()];
-        for &mi in &et_ttp_senders {
-            proc_feeds_msg_release[app.messages()[mi].source().index()] = true;
-        }
         let msg_src: Vec<u32> = app
             .messages()
             .iter()
@@ -414,7 +397,6 @@ impl SystemContext {
             proc_et_node,
             proc_direct_succ,
             proc_out_et_msgs,
-            proc_feeds_msg_release,
             msg_src,
             fifo_pos,
             wl_entities,
@@ -701,15 +683,6 @@ struct SchedCacheEntry {
     msg_release: Vec<Option<Time>>,
     schedule: TtcSchedule,
     analysis: AnalysisSnapshot,
-    /// Seeds the snapshot is *behind* by: when an intermediate outer
-    /// iteration is skipped (its cone touched no release input, so its only
-    /// product — the derived releases — was read straight off the
-    /// snapshot), the configuration/diff seeds of the skipped evaluation
-    /// accumulate here and join the cone of the next delta evaluation that
-    /// extends this snapshot. Cleared whenever the slot is re-analyzed.
-    pending_seeds: DeltaSeeds,
-    pending_moved_procs: Vec<ProcessId>,
-    pending_moved_msgs: Vec<MessageId>,
 }
 
 impl SchedCacheEntry {
@@ -721,10 +694,6 @@ impl SchedCacheEntry {
         self.msg_release.clone_from(&src.msg_release);
         self.schedule.clone_from(&src.schedule);
         self.analysis.sync_from(&src.analysis);
-        self.pending_seeds.clone_from(&src.pending_seeds);
-        self.pending_moved_procs
-            .clone_from(&src.pending_moved_procs);
-        self.pending_moved_msgs.clone_from(&src.pending_moved_msgs);
     }
 }
 
@@ -896,10 +865,10 @@ impl<'s> Evaluator<'s> {
     /// instead of re-running the full holistic fixed point: a schedule memo
     /// hit extends the snapshot directly, a rebuild diffs the new schedule
     /// against the snapshot's and feeds the moved placements into the cone.
-    /// Iterations whose snapshot is unusable (stale, diverged, unstable),
-    /// whose cone exceeds the frontier bound, or whose restricted passes
-    /// exhaust their budget take the full path of that iteration — so the
-    /// trajectory, and with it every result, is bit-identical either way.
+    /// Iterations whose snapshot is unusable (stale, diverged, unstable) or
+    /// whose restricted passes exhaust their budget take the full path of
+    /// that iteration — so the trajectory, and with it every result, is
+    /// bit-identical either way.
     fn evaluate_inner(
         &mut self,
         config: &SystemConfig,
@@ -923,23 +892,9 @@ impl<'s> Evaluator<'s> {
             &mut self.scratch.msg_release,
         );
 
-        let entity_total = self.ctx.proc_is_tt.len() + 2 * self.ctx.route.len();
-        let cone_limit = entity_total.saturating_mul(DELTA_FRONTIER_PERCENT) / 100;
-
         let mut iterations = 0;
         let mut settled = false;
         let mut holistic_stable = false;
-        let mut analyzed: Option<usize> = None;
-        // Whether every analyzed iteration extended the delta baseline —
-        // only then is the final state snapshot-linked to the previous
-        // evaluation's and the per-queue bound memo usable. `extended_slot`
-        // tracks *which* iteration's snapshot the scratch currently
-        // extends: the identical-schedule shortcut leaves the scratch on an
-        // earlier iteration's analysis, which must not pass for the final
-        // one.
-        let base_final_slot = self.last_sched_slot;
-        let mut cone_covers_all = delta_seeds.is_some();
-        let mut extended_slot: Option<usize> = None;
         while iterations < self.params.max_outer_iterations {
             let slot = iterations as usize;
             iterations += 1;
@@ -998,154 +953,64 @@ impl<'s> Evaluator<'s> {
             // configuration): when changed releases produced a schedule
             // identical to the one analyzed in the previous outer iteration
             // of this call, the scratch already holds its fixed point.
-            let same_schedule = analyzed
-                .map(|prev| self.sched_cache[prev].schedule == self.sched_cache[slot].schedule)
-                .unwrap_or(false);
+            let same_schedule =
+                slot > 0 && self.sched_cache[slot - 1].schedule == self.sched_cache[slot].schedule;
             self.last_sched_slot = slot;
-            let mut skipped = false;
             if !same_schedule {
                 // Delta baseline: a snapshot stamped by the immediately
                 // preceding successful evaluation, converged and stable —
-                // exactly the state the dirty cone (joined with whatever
-                // the snapshot is pending behind) is a diff against.
-                let baseline = delta_seeds.is_some() && {
+                // exactly the state the dirty cone is a diff against.
+                let baseline = delta_seeds.filter(|_| {
                     let snap = &self.sched_cache[slot].analysis;
                     snap.run == base_run && snap.stable && !snap.diverged
-                };
-                let mut ran_delta = false;
-                if baseline {
-                    let entry = &self.sched_cache[slot];
-                    let cone = close_dirty(
+                });
+                if let Some(seeds) = baseline {
+                    close_dirty(
                         &self.ctx,
                         &mut self.scratch,
-                        &[
-                            // mcs-lint: allow(panic-policy) -- `baseline` is only true when delta_seeds.is_some() (checked where it is computed)
-                            delta_seeds.expect("baseline implies delta seeds"),
-                            &entry.pending_seeds,
-                        ],
-                        &[
-                            (&self.diff_procs, &self.diff_msgs),
-                            (&entry.pending_moved_procs, &entry.pending_moved_msgs),
-                        ],
+                        seeds,
+                        (&self.diff_procs, &self.diff_msgs),
                     );
                     // The no-op probe additionally needs the change to be a
                     // per-resource priority permutation (see
                     // `swap_only_change`).
                     self.scratch.dirty.probe_ok &= self.swap_only_change;
-                    if cone.entities <= cone_limit {
-                        if !cone.feeders && iterations < self.params.max_outer_iterations {
-                            // The cone contains no release input, so this
-                            // iteration's only product — the derived
-                            // release bounds — reads straight off the
-                            // snapshot. Unless the loop settles here (then
-                            // the final timing state is actually needed),
-                            // the whole re-analysis of this iteration is
-                            // skipped; its seeds go on the slot's pending
-                            // list so the next evaluation's cone still
-                            // covers the distance to the snapshot.
-                            {
-                                let snap = &self.sched_cache[slot].analysis;
-                                derive_releases_into(
-                                    system,
-                                    &self.ctx,
-                                    config,
-                                    (&snap.arrival, &snap.po, &snap.pr),
-                                    &mut self.scratch.next_proc_release,
-                                    &mut self.scratch.next_msg_release,
-                                );
-                            }
-                            let s = &self.scratch;
-                            let will_settle = s.next_proc_release == s.proc_release
-                                && s.next_msg_release == s.msg_release;
-                            if !will_settle {
-                                // mcs-lint: allow(panic-policy) -- `baseline` is only true when delta_seeds.is_some() (checked where it is computed)
-                                let seeds = delta_seeds.expect("baseline implies delta seeds");
-                                let entry = &mut self.sched_cache[slot];
-                                entry.pending_seeds.merge(seeds);
-                                entry
-                                    .pending_moved_procs
-                                    .extend_from_slice(&self.diff_procs);
-                                entry.pending_moved_msgs.extend_from_slice(&self.diff_msgs);
-                                let backlog = entry.pending_seeds.processes().len()
-                                    + entry.pending_seeds.messages().len()
-                                    + entry.pending_moved_procs.len()
-                                    + entry.pending_moved_msgs.len();
-                                // Unbounded pending growth (a slot skipped
-                                // for thousands of evaluations) would make
-                                // the closure re-chew an ever-longer seed
-                                // list; past a generous bound, retire the
-                                // snapshot instead — the next evaluation
-                                // re-analyzes the slot and starts afresh.
-                                entry.analysis.run =
-                                    if backlog > 4 * entity_total { 0 } else { run };
-                                skipped = true;
-                                self.delta_evals += 1;
-                            }
-                            // On `will_settle` this is the final iteration:
-                            // fall through and materialize its analysis.
-                        }
-                        if !skipped {
-                            self.sched_cache[slot].analysis.load(&mut self.scratch);
-                            ran_delta = Holistic {
-                                ctx: &self.ctx,
-                                system,
-                                schedule: &self.sched_cache[slot].schedule,
-                                ttp_queue,
-                                grid_slack,
-                                horizon: self.ctx.horizon,
-                                max_iterations: self.params.max_holistic_iterations,
-                                fifo_bound: self.params.fifo_bound,
-                                s: &mut self.scratch,
-                            }
-                            .run_delta();
-                            // An exhausted pass budget leaves the scratch
-                            // mid-climb: the full pass below resets and
-                            // re-derives it exactly.
-                        }
-                    }
+                    self.sched_cache[slot].analysis.load(&mut self.scratch);
                 }
-                if skipped {
-                    // Nothing analyzed: the scratch still holds whatever
-                    // iteration was analyzed last.
-                } else if ran_delta {
+                let mut holistic = Holistic {
+                    ctx: &self.ctx,
+                    system,
+                    schedule: &self.sched_cache[slot].schedule,
+                    ttp_queue,
+                    grid_slack,
+                    horizon: self.ctx.horizon,
+                    max_iterations: self.params.max_holistic_iterations,
+                    fifo_bound: self.params.fifo_bound,
+                    s: &mut self.scratch,
+                };
+                // An exhausted pass budget leaves the scratch mid-climb: the
+                // full pass resets and re-derives it exactly.
+                if baseline.is_some() && holistic.run_delta() {
                     holistic_stable = true;
-                    extended_slot = Some(slot);
                     self.delta_evals += 1;
                 } else {
+                    holistic_stable = holistic.run();
                     self.full_evals += 1;
-                    cone_covers_all = false;
-                    holistic_stable = Holistic {
-                        ctx: &self.ctx,
-                        system,
-                        schedule: &self.sched_cache[slot].schedule,
-                        ttp_queue,
-                        grid_slack,
-                        horizon: self.ctx.horizon,
-                        max_iterations: self.params.max_holistic_iterations,
-                        fifo_bound: self.params.fifo_bound,
-                        s: &mut self.scratch,
-                    }
-                    .run();
                 }
             }
-            if !skipped {
-                analyzed = Some(slot);
-                // Snapshots are only consumed by delta evaluations, so pure
-                // full-path consumers (one-shot analyses, the structural OS
-                // search) skip the copies; once a search has made one
-                // non-structural delta call, every evaluation — including
-                // interleaved structural moves and full rematerializations —
-                // keeps stamping fresh baselines for the next delta call.
-                if delta_seeds.is_some() || self.delta_live {
-                    let entry = &mut self.sched_cache[slot];
-                    entry.analysis.save(&self.scratch, run, holistic_stable);
-                    entry.pending_seeds.clear();
-                    entry.pending_moved_procs.clear();
-                    entry.pending_moved_msgs.clear();
-                }
-                // Re-derive the release lower bounds from the analysis.
-                self.derive_releases(config);
+            // Snapshots are only consumed by delta evaluations, so pure
+            // full-path consumers (one-shot analyses, the structural OS
+            // search) skip the copies; once a search has made one
+            // non-structural delta call, every evaluation — including
+            // interleaved structural moves and full rematerializations —
+            // keeps stamping fresh baselines for the next delta call.
+            if delta_seeds.is_some() || self.delta_live {
+                self.sched_cache[slot]
+                    .analysis
+                    .save(&self.scratch, run, holistic_stable);
             }
+            // Re-derive the release lower bounds from the analysis.
+            self.derive_releases(config);
             let s = &mut self.scratch;
             let done = s.next_proc_release == s.proc_release && s.next_msg_release == s.msg_release;
             std::mem::swap(&mut s.proc_release, &mut s.next_proc_release);
@@ -1156,13 +1021,8 @@ impl<'s> Evaluator<'s> {
             }
         }
 
-        // Queue bounds are needed only for the final analysis state. When
-        // the whole trajectory extended the previous evaluation's snapshots
-        // and the final state extends the snapshot the cached bounds were
-        // computed from, queues without a dirty member provably kept their
-        // bounds.
-        let queue_delta = cone_covers_all && extended_slot == Some(base_final_slot);
-        self.finish_queue_bounds(ttp_queue, grid_slack, queue_delta);
+        // Queue bounds are needed only for the final analysis state.
+        self.finish_queue_bounds(ttp_queue, grid_slack);
         self.last_settled = settled;
         self.last_holistic_stable = holistic_stable;
         let summary = self.summarize(settled, iterations);
@@ -1198,10 +1058,11 @@ impl<'s> Evaluator<'s> {
     ///   against them, reaching the same least fixed point in a fraction of
     ///   the kernel work;
     /// * an iteration whose release bounds changed (the cone touched a FIFO
-    ///   arrival or an ET-sent frame's release), whose snapshot is missing,
-    ///   diverged or unstable, or whose restricted passes exhaust their
-    ///   budget is re-scheduled and re-analyzed in full — from that point
-    ///   the replay *is* the full evaluation.
+    ///   arrival or an ET-sent frame's release) is re-scheduled, and the
+    ///   placements the rebuild moved join the cone;
+    /// * an iteration whose snapshot is missing, diverged or unstable, or
+    ///   whose restricted passes exhaust their budget, is re-analyzed in
+    ///   full.
     ///
     /// The call transparently takes the full path outright for structural
     /// seeds (TDMA changes — they alter the FIFO drain parameters every
@@ -1574,21 +1435,38 @@ impl<'s> Evaluator<'s> {
     /// current analysis state, into the `next_*` tables.
     fn derive_releases(&mut self, config: &SystemConfig) {
         let system = self.system;
+        let app = &system.application;
         let ctx = &self.ctx;
         let s = &mut self.scratch;
-        derive_releases_into(
+        seed_pins(
             system,
-            ctx,
             config,
-            (&s.arrival, &s.po, &s.pr),
             &mut s.next_proc_release,
             &mut s.next_msg_release,
         );
+        for &mi in &ctx.fifo_ids {
+            // Destination TT process must not start before the worst-case
+            // arrival through Out_TTP.
+            let message = &app.messages()[mi];
+            let bound = s.arrival[mi].min(ctx.horizon);
+            let entry = &mut s.next_proc_release[message.dest().index()];
+            *entry = Some(entry.unwrap_or(Time::ZERO).max(bound));
+        }
+        for &mi in &ctx.et_ttp_senders {
+            // TTP frames whose sender runs under priorities (gateway CPU):
+            // the frame cannot leave before the sender's worst-case
+            // completion.
+            let message = &app.messages()[mi];
+            let sender = message.source().index();
+            let done = s.po[sender].saturating_add(s.pr[sender]).min(ctx.horizon);
+            let entry = &mut s.next_msg_release[message.id().index()];
+            *entry = Some(entry.unwrap_or(Time::ZERO).max(done));
+        }
     }
 
     /// Computes the queue bounds of the final analysis state.
-    fn finish_queue_bounds(&mut self, ttp_queue: TtpQueueParams, grid_slack: Time, delta: bool) {
-        let mut holistic = Holistic {
+    fn finish_queue_bounds(&mut self, ttp_queue: TtpQueueParams, grid_slack: Time) {
+        Holistic {
             ctx: &self.ctx,
             system: self.system,
             schedule: &self.sched_cache[self.last_sched_slot].schedule,
@@ -1598,12 +1476,8 @@ impl<'s> Evaluator<'s> {
             max_iterations: self.params.max_holistic_iterations,
             fifo_bound: self.params.fifo_bound,
             s: &mut self.scratch,
-        };
-        if delta {
-            holistic.queue_bounds_delta();
-        } else {
-            holistic.queue_bounds();
         }
+        .queue_bounds();
     }
 
     /// Graph responses and the degree of schedulability, straight from the
@@ -1737,18 +1611,17 @@ impl<'s> Evaluator<'s> {
 #[cfg(test)]
 impl Evaluator<'_> {
     /// Test hook for the delta closure: stages the configuration-derived
-    /// tables and closes `seed_sets` plus `moved` placements over the
-    /// dependency graph, leaving the flags in the scratch and returning the
-    /// cone summary.
+    /// tables and closes `seeds` plus `moved` placements over the
+    /// dependency graph, leaving the flags in the scratch.
     pub(crate) fn close_for_test(
         &mut self,
         config: &SystemConfig,
-        seed_sets: &[&DeltaSeeds],
-        moved: &[(&[ProcessId], &[MessageId])],
-    ) -> crate::delta::DirtyCone {
+        seeds: &DeltaSeeds,
+        moved: (&[ProcessId], &[MessageId]),
+    ) {
         self.prepare_config(config)
             .expect("valid test configuration");
-        close_dirty(&self.ctx, &mut self.scratch, seed_sets, moved)
+        close_dirty(&self.ctx, &mut self.scratch, seeds, moved);
     }
 
     /// Test hook: the dirty flags left by [`close_for_test`].
@@ -1756,40 +1629,6 @@ impl Evaluator<'_> {
     /// [`close_for_test`]: Evaluator::close_for_test
     pub(crate) fn dirty_for_test(&self) -> &DirtySet {
         &self.scratch.dirty
-    }
-}
-
-/// Re-derives the release lower bounds of the static scheduler from an
-/// analysis state given as `(arrival, po, pr)` slices — the scratch vectors
-/// after a holistic run, or an iteration's snapshot when the delta path
-/// skips re-analyzing an intermediate iteration whose release inputs are
-/// provably unchanged.
-fn derive_releases_into(
-    system: &System,
-    ctx: &SystemContext,
-    config: &SystemConfig,
-    (arrival, po, pr): (&[Time], &[Time], &[Time]),
-    next_proc_release: &mut Vec<Option<Time>>,
-    next_msg_release: &mut Vec<Option<Time>>,
-) {
-    let app = &system.application;
-    seed_pins(system, config, next_proc_release, next_msg_release);
-    for &mi in &ctx.fifo_ids {
-        // Destination TT process must not start before the worst-case
-        // arrival through Out_TTP.
-        let message = &app.messages()[mi];
-        let bound = arrival[mi].min(ctx.horizon);
-        let entry = &mut next_proc_release[message.dest().index()];
-        *entry = Some(entry.unwrap_or(Time::ZERO).max(bound));
-    }
-    for &mi in &ctx.et_ttp_senders {
-        // TTP frames whose sender runs under priorities (gateway CPU): the
-        // frame cannot leave before the sender's worst-case completion.
-        let message = &app.messages()[mi];
-        let sender = message.source().index();
-        let done = po[sender].saturating_add(pr[sender]).min(ctx.horizon);
-        let entry = &mut next_msg_release[message.id().index()];
-        *entry = Some(entry.unwrap_or(Time::ZERO).max(done));
     }
 }
 

@@ -720,38 +720,6 @@ impl Holistic<'_> {
         build_task_flow(self.ctx, self.s, pi)
     }
 
-    /// Delta form of [`queue_bounds`](Holistic::queue_bounds): queues with
-    /// no member in the dirty cone keep their bound from the previous
-    /// evaluation (their member flows and delays are provably unchanged).
-    /// Only valid when the evaluation's final state extends the previous
-    /// evaluation's final snapshot through the cone (the caller checks).
-    pub(crate) fn queue_bounds_delta(&mut self) {
-        let ctx = self.ctx;
-
-        if ctx.out_can_ids.iter().any(|&mi| self.s.dirty.can[mi]) {
-            let out_can = self.priority_queue_bound(&ctx.out_can_ids);
-            self.s.queues.out_can = out_can;
-        }
-
-        // The map keys are stable across evaluations, so untouched queues
-        // simply keep their entries.
-        for (node, ids) in &ctx.out_node_ids {
-            if ids.iter().any(|&mi| self.s.dirty.can[mi]) {
-                let bound = self.priority_queue_bound(ids);
-                self.s.queues.out_node.insert(*node, bound);
-            }
-        }
-
-        if ctx.fifo_ids.iter().any(|&mi| self.s.dirty.ttp[mi]) {
-            self.s.queues.out_ttp = ctx
-                .fifo_ids
-                .iter()
-                .map(|&mi| self.s.backlog[mi])
-                .max()
-                .unwrap_or(0);
-        }
-    }
-
     /// Buffer bounds for `Out_CAN`, `Out_TTP` and every `Out_Ni`, left in
     /// `Scratch::queues`.
     pub(crate) fn queue_bounds(&mut self) {

@@ -245,7 +245,13 @@ impl Config {
                 // Demos may report elapsed time.
                 "examples/".into(),
             ],
-            panic_guard: vec!["crates/core/src/".into(), "crates/sim/src/".into()],
+            panic_guard: vec![
+                "crates/model/src/".into(),
+                "crates/ttp/src/".into(),
+                "crates/can/src/".into(),
+                "crates/core/src/".into(),
+                "crates/sim/src/".into(),
+            ],
         }
     }
 

@@ -17,7 +17,7 @@
 //! | `wall-clock` | `Instant::now`/`SystemTime`/`.elapsed()` only in the serve/bench allowlist — analysis, simulation and search never read the host clock |
 //! | `rng-discipline` | every RNG takes an explicit seed; no entropy constructors; no literal-only seeds inside rayon closures (each lane must derive its own) |
 //! | `hash-order` | modules feeding reports/`json_line`/digests never iterate `HashMap`/`HashSet` unsorted |
-//! | `panic-policy` | non-test library code in `crates/core` + `crates/sim` returns structured errors instead of `unwrap`/`expect`/`panic!`/`unreachable!` |
+//! | `panic-policy` | non-test library code in `crates/{model,ttp,can,core,sim}` returns structured errors instead of `unwrap`/`expect`/`panic!`/`unreachable!` |
 //! | `float-reduction` | no `.sum()`/`.product()` inside parallel regions — reduction order breaks float bit-identity |
 //!
 //! # Suppression is explicit and auditable

@@ -238,14 +238,19 @@ fn f(v: Option<u32>) -> u32 {
 }
 
 #[test]
-fn panic_policy_only_guards_core_and_sim_library_code() {
+fn panic_policy_only_guards_library_code_of_the_guarded_crates() {
     let src = "fn f(v: Option<u32>) -> u32 { v.unwrap() }\n";
     assert!(lint("crates/opt/src/annealing.rs", src).is_empty());
     assert!(lint("crates/sim/src/bin/faultsim.rs", src).is_empty());
-    assert_eq!(
-        rules_fired("crates/sim/src/engine.rs", src),
-        ["panic-policy"]
-    );
+    for path in [
+        "crates/model/src/application.rs",
+        "crates/ttp/src/list_scheduler.rs",
+        "crates/can/src/arbitration.rs",
+        "crates/core/src/holistic.rs",
+        "crates/sim/src/engine.rs",
+    ] {
+        assert_eq!(rules_fired(path, src), ["panic-policy"], "{path}");
+    }
 }
 
 #[test]

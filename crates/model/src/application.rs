@@ -376,25 +376,23 @@ impl ApplicationBuilder {
             preds[edge.dest.index()].push(edge);
         }
 
-        // Kahn's algorithm per graph; detects cycles.
+        // Kahn's algorithm per graph; detects cycles. Every edge stays
+        // within one graph (cross-graph links are rejected above), so one
+        // dense in-degree table serves all graphs.
+        let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
         let mut topo = Vec::with_capacity(self.graphs.len());
         for graph in &self.graphs {
-            let mut indeg: HashMap<ProcessId, usize> = graph
-                .processes()
-                .iter()
-                .map(|&p| (p, preds[p.index()].len()))
-                .collect();
             let mut ready: Vec<ProcessId> = graph
                 .processes()
                 .iter()
                 .copied()
-                .filter(|p| indeg[p] == 0)
+                .filter(|p| indeg[p.index()] == 0)
                 .collect();
             let mut order = Vec::with_capacity(graph.len());
             while let Some(p) = ready.pop() {
                 order.push(p);
                 for edge in &succs[p.index()] {
-                    let d = indeg.get_mut(&edge.dest).expect("edge within graph");
+                    let d = &mut indeg[edge.dest.index()];
                     *d -= 1;
                     if *d == 0 {
                         ready.push(edge.dest);

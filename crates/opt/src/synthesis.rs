@@ -618,16 +618,10 @@ impl<'s, 'a, 'run> SearchCtx<'s, 'a, 'run> {
         moves: &[Move],
     ) -> usize {
         self.begin_candidates();
-        for (index, mv) in moves.iter().enumerate() {
-            if self.batch_requests.len() <= index {
-                self.batch_requests.push(BatchRequest::default());
-            }
+        for mv in moves {
+            let index = self.push_candidate(base, carried);
             let slot = &mut self.batch_requests[index];
-            slot.config.clone_from(base);
-            slot.seeds.clear();
-            slot.seeds.merge(carried);
             let _undo = mv.apply_undoable_seeded(&mut slot.config, &mut slot.seeds);
-            self.batch_len = index + 1;
         }
         self.evaluate_candidates_queued();
         self.batch_len

@@ -149,7 +149,8 @@ fn non_permutation_priority_change_falls_back_to_full() {
 
 /// Long deterministic walks over pure priority-swap sequences — the move
 /// family the delta path accelerates — asserting both bit-identity and that
-/// the delta fast path is actually taken (not just falling back).
+/// the delta fast path is actually taken (not just falling back), for small
+/// cones and for one cone over most of the system.
 #[test]
 fn priority_swap_walk_stays_identical_and_hits_the_delta_path() {
     let system = small_system(42);
@@ -195,5 +196,74 @@ fn priority_swap_walk_stays_identical_and_hits_the_delta_path() {
     assert!(
         delta_hits > 0,
         "the delta fast path was never taken ({delta_hits} delta vs {full} full)"
+    );
+
+    // A cone over most of the system: on a system with many inter-cluster
+    // messages, swapping the two highest priorities on every ET CPU and on
+    // the CAN bus seeds the top of every priority band. The closure then
+    // dirties every ET process, CAN leg and FIFO leg, and the schedule
+    // rebuild of the second outer iteration adds the moved placements —
+    // over 75% of all entities. Such a cone still runs the restricted
+    // engine, and must still agree with a fresh evaluation.
+    let mut params = GeneratorParams::paper_sized(2, 7);
+    params.processes_per_node = 8;
+    params.graphs = 2;
+    params.inter_cluster_messages = Some(14);
+    let system = generate(&params);
+    let mut config = straightforward_config(&system);
+    config.priorities = hopa_priorities(&system, &config.tdma);
+    let mut delta = Evaluator::new(&system, analysis);
+    delta.evaluate(&config).expect("analyzable");
+    // A first delta call stamps the snapshots the large cone extends.
+    delta
+        .evaluate_delta(&config, &DeltaSeeds::new())
+        .expect("analyzable");
+    let (delta_before, full_before) = delta.delta_stats();
+    let mut seeds = DeltaSeeds::new();
+    let app = &system.application;
+    let mut by_cpu: std::collections::BTreeMap<_, Vec<_>> = Default::default();
+    for p in app.processes() {
+        if let Some(prio) = config.priorities.process(p.id()) {
+            if system.architecture.is_et_cpu(p.node()) {
+                by_cpu.entry(p.node()).or_default().push((prio, p.id()));
+            }
+        }
+    }
+    for procs in by_cpu.values_mut() {
+        procs.sort();
+        if let [(_, a), (_, b), ..] = procs[..] {
+            config.priorities.swap_processes(a, b);
+            seeds.push_process(a);
+            seeds.push_process(b);
+        }
+    }
+    let mut can: Vec<_> = app
+        .messages()
+        .iter()
+        .filter(|m| system.route(m.id()).uses_can())
+        .filter_map(|m| Some((config.priorities.message(m.id())?, m.id())))
+        .collect();
+    can.sort();
+    if let [(_, a), (_, b), ..] = can[..] {
+        config.priorities.swap_messages(a, b);
+        seeds.push_message(a);
+        seeds.push_message(b);
+    }
+    let fresh = evaluate(&system, config.clone(), &analysis).expect("analyzable");
+    let warm = delta.evaluate_delta(&config, &seeds).expect("analyzable");
+    assert_eq!(warm.degree, fresh.degree, "δΓ drifted on the large cone");
+    assert_eq!(warm.total_buffers, fresh.total_buffers);
+    assert_eq!(warm.iterations, fresh.outcome.iterations);
+    let outcome = delta.outcome();
+    assert_eq!(outcome.schedule, fresh.outcome.schedule);
+    assert_eq!(outcome.process_timing, fresh.outcome.process_timing);
+    assert_eq!(outcome.message_timing, fresh.outcome.message_timing);
+    assert_eq!(outcome.queues, fresh.outcome.queues);
+    assert_eq!(outcome.graph_response, fresh.outcome.graph_response);
+    let (delta_after, full_after) = delta.delta_stats();
+    assert!(
+        delta_after > delta_before && full_after == full_before,
+        "the large cone took the full path ({delta_before} -> {delta_after} delta, \
+         {full_before} -> {full_after} full passes)"
     );
 }

@@ -243,8 +243,8 @@ impl<'a> Scheduler<'a> {
                     best = Some((est, prio, p));
                 }
             }
-            let (start, _, p) =
-                best.expect("acyclic validated graph always has a ready TT process");
+            // mcs-lint: allow(panic-policy) -- the application validated acyclic, so some unscheduled TT process has every TT predecessor committed
+            let (start, _, p) = best.expect("an acyclic graph always has a ready TT process");
             self.commit(p, start)?;
             unscheduled.retain(|&q| q != p);
             for e in app.successors(p) {
@@ -281,6 +281,7 @@ impl<'a> Scheduler<'a> {
             let pred_finish = self
                 .schedule
                 .start(e.source)
+                // mcs-lint: allow(panic-policy) -- earliest_start only runs for processes whose TT predecessors are all committed
                 .expect("TT predecessor scheduled before successor")
                 + app.process(e.source).wcet();
             let avail = match e.message {
